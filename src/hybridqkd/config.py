@@ -13,6 +13,7 @@ bundled profiles (table1, ideal).
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,9 +24,13 @@ from .photon_stats import QdSourceParams
 
 PROFILE_DIR_ENV = "HYBRIDQKD_PROFILE_DIR"
 
+# Largest accepted run.n_pulses. At tens of Mpulses/s on one core this is
+# hours of simulation; anything larger is a typo, not a run.
+MAX_PULSES = 10**12
+
 _KNOWN_KEYS = {
     "source": {"brightness", "g2"},
-    "laser": {"mu", "optimize"},
+    "laser": {"mu"},
     "channel": {"db", "km", "alpha", "eta0"},
     "detector": {"e_d", "y0", "dark_rate_hz", "e0", "f_ec", "rep_rate_hz"},
     "run": {"n_pulses", "seed", "output"},
@@ -45,6 +50,7 @@ _DEFAULT_MU_BRIGHTNESS = [0.0, 0.0409, 0.1, 0.2, 0.3, 0.45]
 class _Entry:
     raw: str
     lineno: int | None
+    origin: str  # the profile, or the --section.key override that set the value
 
 
 @dataclass
@@ -52,8 +58,8 @@ class RawConfig:
     origin: str
     entries: dict[str, dict[str, _Entry]] = field(default_factory=dict)
 
-    def set(self, section: str, key: str, raw: str, lineno: int | None):
-        self.entries.setdefault(section, {})[key] = _Entry(raw, lineno)
+    def set(self, section: str, key: str, raw: str, lineno: int | None, origin: str):
+        self.entries.setdefault(section, {})[key] = _Entry(raw, lineno, origin)
 
     def get(self, section: str, key: str) -> _Entry | None:
         return self.entries.get(section, {}).get(key)
@@ -101,7 +107,7 @@ def parse_profile_text(text: str, origin: str) -> RawConfig:
             raise ConfigError(f"unknown key '{key}' in section [{section}]", lineno, origin)
         if not value:
             raise ConfigError(f"empty value for '{key}'", lineno, origin)
-        raw.set(section, key, value, lineno)
+        raw.set(section, key, value, lineno, origin)
     return raw
 
 
@@ -109,32 +115,35 @@ def apply_overrides(raw: RawConfig, overrides: dict[tuple[str, str], str]):
     for (section, key), value in overrides.items():
         if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown override --{section}.{key}")
-        raw.set(section, key, value, None)
+        raw.set(section, key, value, None, f"--{section}.{key}")
 
 
-def _parse_number(token: str, entry: _Entry, origin: str) -> float:
+def _parse_number(token: str, entry: _Entry) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ConfigError(f"not a number: {token!r}", entry.lineno, origin) from None
+        raise ConfigError(f"not a number: {token!r}", entry.lineno, entry.origin) from None
+    if not math.isfinite(value):  # nan, inf, and overflow such as 1e400
+        raise ConfigError(f"not a finite number: {token!r}", entry.lineno, entry.origin)
+    return value
 
 
-def _parse_list(entry: _Entry, origin: str) -> list[float]:
+def _parse_list(entry: _Entry) -> list[float]:
     value = entry.raw
     if ":" in value:
         parts = value.split(":")
         if len(parts) != 3:
             raise ConfigError(
-                f"range must be start:stop:step, got {value!r}", entry.lineno, origin
+                f"range must be start:stop:step, got {value!r}", entry.lineno, entry.origin
             )
-        start, stop, step = (_parse_number(p, entry, origin) for p in parts)
+        start, stop, step = (_parse_number(p, entry) for p in parts)
         if step <= 0.0:
-            raise ConfigError("range step must be positive", entry.lineno, origin)
+            raise ConfigError("range step must be positive", entry.lineno, entry.origin)
         if stop < start:
-            raise ConfigError("range stop must not be below start", entry.lineno, origin)
+            raise ConfigError("range stop must not be below start", entry.lineno, entry.origin)
         count = int((stop - start) / step + 1e-9) + 1
         return [start + i * step for i in range(count)]
-    return [_parse_number(tok.strip(), entry, origin) for tok in value.split(",")]
+    return [_parse_number(tok.strip(), entry) for tok in value.split(",")]
 
 
 class _Reader:
@@ -153,13 +162,13 @@ class _Reader:
             if default is None:
                 raise ConfigError(f"missing required key '{key}' in [{section}]", origin=self.origin)
             return default
-        return _parse_number(entry.raw, entry, self.origin)
+        return _parse_number(entry.raw, entry)
 
     def integer(self, section: str, key: str, default: int) -> int:
         value = self.number(section, key, float(default))
         if value != int(value):
             entry = self.entry(section, key)
-            raise ConfigError(f"'{key}' must be an integer", entry.lineno, self.origin)
+            raise ConfigError(f"'{key}' must be an integer", entry.lineno, entry.origin)
         return int(value)
 
     def numbers(self, section: str, key: str, default: list[float] | None = None) -> list[float]:
@@ -168,7 +177,7 @@ class _Reader:
             if default is None:
                 raise ConfigError(f"missing required key '{key}' in [{section}]", origin=self.origin)
             return list(default)
-        return _parse_list(entry, self.origin)
+        return _parse_list(entry)
 
     def string(self, section: str, key: str) -> str | None:
         entry = self.entry(section, key)
@@ -193,9 +202,7 @@ def build_run_config(raw: RawConfig) -> RunConfig:
     if any(mu < 0.0 for mu in mu_list):
         entry = reader.entry("laser", "mu")
         raise ConfigError(
-            "laser mean photon numbers must be nonnegative",
-            entry.lineno if entry else None,
-            origin,
+            "laser mean photon numbers must be nonnegative", entry.lineno, entry.origin
         )
 
     alpha = reader.number("channel", "alpha", 0.21)
@@ -208,12 +215,14 @@ def build_run_config(raw: RawConfig) -> RunConfig:
             "exactly one of 'db' or 'km' must be given in [channel]", lineno, origin
         )
     if db_entry is not None:
-        db_grid = _parse_list(db_entry, origin)
+        db_grid = _parse_list(db_entry)
     else:
-        db_grid = [km * alpha for km in _parse_list(km_entry, origin)]
+        db_grid = [km * alpha for km in _parse_list(km_entry)]
     grid_entry = db_entry or km_entry
     if any(db < 0.0 for db in db_grid):
-        raise ConfigError("attenuations must be nonnegative", grid_entry.lineno, origin)
+        raise ConfigError(
+            "attenuations must be nonnegative", grid_entry.lineno, grid_entry.origin
+        )
     channel = reader.build(ChannelModel, "channel", fiber_alpha=alpha, eta0=eta0)
 
     rep_rate = reader.number("detector", "rep_rate_hz", 81.96e6)
@@ -227,9 +236,9 @@ def build_run_config(raw: RawConfig) -> RunConfig:
             origin,
         )
     if y0_entry is not None:
-        y0 = _parse_number(y0_entry.raw, y0_entry, origin)
+        y0 = _parse_number(y0_entry.raw, y0_entry)
     else:
-        y0 = _parse_number(dark_entry.raw, dark_entry, origin) / rep_rate
+        y0 = _parse_number(dark_entry.raw, dark_entry) / rep_rate
     detector = reader.build(
         DetectorModel,
         "detector",
@@ -241,13 +250,15 @@ def build_run_config(raw: RawConfig) -> RunConfig:
     )
 
     n_pulses = reader.integer("run", "n_pulses", 1_000_000)
-    if n_pulses < 1:
+    if not 1 <= n_pulses <= MAX_PULSES:
         entry = reader.entry("run", "n_pulses")
-        raise ConfigError("n_pulses must be at least 1", entry.lineno if entry else None, origin)
+        raise ConfigError(
+            f"n_pulses must be between 1 and {MAX_PULSES:.0e}", entry.lineno, entry.origin
+        )
     seed = reader.integer("run", "seed", 1)
     if seed < 0:
         entry = reader.entry("run", "seed")
-        raise ConfigError("seed must be nonnegative", entry.lineno if entry else None, origin)
+        raise ConfigError("seed must be nonnegative", entry.lineno, entry.origin)
 
     threshold_brightness = reader.numbers(
         "threshold", "brightness", default=[i * 0.05 for i in range(21)]

@@ -7,6 +7,18 @@ a dark count. Clicks are sifted with an unbiased coin; a sifted click errs
 with probability e_d when a photon arrived (coincidences with dark counts
 resolve in favor of the photon) and e0 for a dark-count-only click.
 
+The sampler spends work only where a click can happen. Most pulses are
+vacuum and dark counts are rare, so the pulses that emit (k >= 1) and the
+pulses with a dark count are each drawn as the successes of a Bernoulli
+process, from geometric gaps between successes; that is the law of one
+independent coin per pulse. Emitting pulses draw k from the source
+distribution conditioned on k >= 1. A photon arrives when the first
+survivor among the k photons exists, i.e. a Geometric(eta) draw is at most
+k, which has probability 1 - (1 - eta)^k, the binomial-thinning law of
+"at least one survivor". One uniform w per click gives both coins:
+sifted is w < 1/2 and an error is w < err_p / 2, so P(sifted) = 1/2 and
+P(error | sifted) = err_p, the joint law of two independent coins.
+
 Pulses are processed in blocks of 2^20, each with its own counter-based
 substream (Philox keyed through SeedSequence spawn keys), so tallies are
 bit-identical for a fixed seed regardless of how blocks are executed.
@@ -64,34 +76,72 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """Sorted indices of the successes among ``size`` independent Bernoulli(p) trials.
+
+    The gaps between successive successes are i.i.d. Geometric(p), so summing
+    gaps until they pass the end of the block samples the same law as one coin
+    per trial, with work proportional to the number of successes.
+    """
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    p = min(p, 1.0)  # rounding in a CDF tail can put p just above 1
+    chunks = []
+    last = -1  # index of the latest success drawn so far
+    while last < size - 1:
+        mean = (size - 1 - last) * p
+        count = int(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 1.0)
+        positions = last + np.cumsum(rng.geometric(p, count))
+        chunks.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(chunks)
+    return positions[: np.searchsorted(positions, size)]
+
+
+def _photon_hits(
+    rng: np.random.Generator, probs: np.ndarray, eta: float, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one block's emissions: pulse indices, photon numbers, arrival flags.
+
+    Pulses with k >= 1 photons are the successes of Bernoulli(1 - p0) trials;
+    each draws k from ``probs[1:] / (1 - p0)``. At least one of k photons
+    survives exactly when the first survivor's index, Geometric(eta), is <= k.
+    """
+    tail = np.cumsum(probs[1:])
+    p_emit = float(tail[-1])
+    emitting = _bernoulli_positions(rng, p_emit, size)
+    cdf = tail / p_emit if p_emit > 0.0 else tail
+    cdf[-1] = 1.0  # guard float shortfall so sampling never overruns k_max
+    k = np.searchsorted(cdf, rng.random(emitting.size), side="right") + 1
+    if eta >= 1.0:
+        arrived = np.ones(k.size, dtype=bool)
+    elif eta > 0.0:
+        arrived = rng.geometric(eta, k.size) <= k
+    else:
+        arrived = np.zeros(k.size, dtype=bool)
+    return emitting, k, arrived
+
+
 def simulate(config: SimConfig) -> SimTally:
     """Run the pulse-level simulation and tally clicks, sifted events, errors."""
-    probs = config.dist.probs
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard float shortfall so sampling never overruns k_max
     det = config.det
-    eta = config.eta
     n_clicks = n_sifted = n_errors = 0
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     for block in range(n_blocks):
         size = min(BLOCK_SIZE, config.n_pulses - block * BLOCK_SIZE)
         rng = _block_rng(config.seed, block)
-        k = np.searchsorted(cdf, rng.random(size), side="right")
-        survivors = np.zeros(size, dtype=np.int64)
-        emitting = k > 0
-        if eta >= 1.0:
-            survivors[emitting] = k[emitting]
-        elif eta > 0.0:
-            survivors[emitting] = rng.binomial(k[emitting], eta)
-        dark = rng.random(size) < det.y0
-        arrived = survivors > 0
-        click = arrived | dark
-        sifted = click & (rng.random(size) < 0.5)
-        err_prob = np.where(arrived, det.e_d, det.e0)
-        errors = sifted & (rng.random(size) < err_prob)
-        n_clicks += int(click.sum())
-        n_sifted += int(sifted.sum())
-        n_errors += int(errors.sum())
+        emitting, _, arrived = _photon_hits(rng, config.dist.probs, config.eta, size)
+        hits = emitting[arrived]
+        dark = _bernoulli_positions(rng, det.y0, size)
+        if hits.size and dark.size:
+            at = np.minimum(np.searchsorted(hits, dark), hits.size - 1)
+            dark = dark[hits[at] != dark]  # the photon decides a coincident click
+        # one uniform per click: sifted when w < 1/2, an error when w < err_p / 2
+        w = rng.random(hits.size + dark.size)
+        n_clicks += w.size
+        n_sifted += int(np.count_nonzero(w < 0.5))
+        n_errors += int(np.count_nonzero(w[: hits.size] < 0.5 * det.e_d))
+        n_errors += int(np.count_nonzero(w[hits.size :] < 0.5 * det.e0))
     n = config.n_pulses
     q_hat = n_clicks / n
     stderr_q = math.sqrt(q_hat * (1.0 - q_hat) / n)

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,25 @@ class TestConfigHandling:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("3,")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "--run.n_pulses=1e30",
+            "--run.n_pulses=inf",
+            "--laser.mu=nan",
+            "--channel.db=nan",
+            "--channel.db=1e400",
+        ],
+    )
+    def test_non_finite_and_runaway_numbers_rejected(self, override, capsys):
+        assert main(["scan", "-c", TINY, override]) == 2
+        target = override.split("=", 1)[0]
+        assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
+    def test_removed_laser_optimize_key_is_unknown(self, capsys):
+        assert main(["scan", "-c", TINY, "--laser.optimize=1"]) == 2
+        assert "unknown override --laser.optimize" in capsys.readouterr().err
 
     def test_malformed_override_rejected(self, capsys):
         assert main(["scan", "-c", TINY, "--bogus"]) == 2
@@ -118,6 +138,30 @@ class TestMonteCarloCommand:
         assert main(args + ["-o", str(out1)]) == 0
         assert main(args + ["-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("n_errors,expected", [(1, "true"), (40, "false")])
+    def test_pass_uses_standard_error_under_analytic_values(
+        self, n_errors, expected, monkeypatch, capsys
+    ):
+        # About 9 errors expected. One recorded error has a plug-in standard error
+        # near 1/n_sifted, which puts the cell 8 sigma out; under the analytic
+        # E it is 2.7 sigma out. 40 errors fail either way.
+        from hybridqkd import SimTally, cli
+
+        cfg = cli.load_config(TINY, {("channel", "db"): "0", ("laser", "mu"): "0"})
+        dist = cli.qd_distribution(cfg.source)
+        analytic = cli.gllp_skr(dist, cfg.channel.with_attenuation(0.0), cfg.detector)
+        n = round(18.0 / (analytic.q_tot * analytic.e_tot))
+        n_clicks = round(analytic.q_tot * n)
+        n_sifted = n_clicks // 2
+        q_hat, e_hat = n_clicks / n, n_errors / n_sifted
+        tally = SimTally(
+            n, n_clicks, n_sifted, n_errors, q_hat, e_hat,
+            math.sqrt(q_hat * (1.0 - q_hat) / n), math.sqrt(e_hat * (1.0 - e_hat) / n_sifted),
+        )
+        monkeypatch.setattr(cli, "simulate", lambda config: tally)
+        assert main(["montecarlo", "-c", TINY, "--channel.db=0", "--laser.mu=0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith("," + expected)
 
     def test_zero_pulses_rejected(self):
         assert main(["montecarlo", "-c", TINY, "--run.n_pulses=0"]) == 2
