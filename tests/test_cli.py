@@ -107,6 +107,11 @@ class TestConfigHandling:
 
 
 class TestOptimizeCommand:
+    def test_golden_file(self, tmp_path):
+        out = tmp_path / "optimize.csv"
+        assert main(["optimize", "-c", TINY, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "optimize_golden.csv").read_bytes()
+
     def test_single_point_matches_api(self, tmp_path, capsys):
         from hybridqkd import ChannelModel, DetectorModel, QdSourceParams, optimize_mu_laser
 
@@ -176,6 +181,11 @@ class TestMonteCarloCommand:
 
 
 class TestThresholdCommand:
+    def test_golden_report_and_grid(self, capsys):
+        assert main(["threshold", "-c", TINY]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (DATA / "threshold_golden.txt").read_bytes()
+
     def test_ideal_profile_thresholds(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = main(
@@ -202,6 +212,15 @@ class TestThresholdCommand:
 
 
 class TestFiguresCommand:
+    def test_golden_files(self, tmp_path, capsys):
+        figdir = tmp_path / "figs"
+        assert main(["figures", "-c", TINY, "--outdir", str(figdir)]) == 0
+        golden = DATA / "figures_golden"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in figdir.iterdir()) == names
+        for name in names:
+            assert (figdir / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_writes_all_figures(self, tmp_path):
         code = main(
             [
