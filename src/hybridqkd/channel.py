@@ -9,8 +9,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .photon_stats import PhotonNumberDistribution
 
@@ -116,16 +114,14 @@ def totals(
 ) -> tuple[float, float]:
     """Total gain Q_tot = sum_k Q_k and gain-weighted QBER E_tot.
 
-    The per-k yield in e_k cancels against Q_k, so the error sum reduces to
-    sum_k p_k (e0 y0 + e_d (1 - (1 - eta)^k)).
+    Threshold detection sees only A = 1 - G(1 - eta), the probability that
+    at least one photon arrives, so the sums over k close to
+    Q_tot = y0 + (1 - y0) A and E_tot Q_tot = e0 y0 + e_d A.
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmissivity must be in [0, 1], got {eta!r}")
-    ks = np.arange(dist.probs.size)
-    arrive = 1.0 - (1.0 - eta) ** ks
-    yields = det.y0 + (1.0 - det.y0) * arrive
-    q_tot = float(dist.probs @ yields)
+    arrive = dist.arrival_probability(eta)
+    q_tot = det.y0 + (1.0 - det.y0) * arrive
     if q_tot <= 0.0:
         raise DomainError("total gain is zero: no clicks to distill a key from")
-    err_sum = float(dist.probs @ (det.e0 * det.y0 + det.e_d * arrive))
-    return q_tot, err_sum / q_tot
+    return q_tot, (det.e0 * det.y0 + det.e_d * arrive) / q_tot

@@ -15,16 +15,9 @@ from pathlib import Path
 from .channel import db_to_km
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError
-from .estimate import infer_mu_mixed
 from .montecarlo import SimConfig, empirical_skr, simulate
-from .optimize import (
-    MU_TOL,
-    _clamped_skr,
-    advantage_report,
-    optimize_mu_laser,
-    skr_scan,
-)
-from .photon_stats import QdSourceParams, hybrid_distribution, qd_distribution
+from .optimize import MU_TOL, advantage_report, optimize_mu_laser, qd_only_skr, skr_scan
+from .photon_stats import QdSourceParams, hybrid_distribution, mean_photon_number, qd_distribution
 from .security import gllp_skr
 
 SCAN_COLUMNS = [
@@ -84,20 +77,15 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def _optimize_rows(cfg: RunConfig, db_grid) -> list[tuple]:
     laser_only = QdSourceParams(0.0, 0.0)
-    qd_dist = qd_distribution(cfg.source)
     rows = []
     for db in db_grid:
         best = optimize_mu_laser(cfg.source, db, cfg.channel, cfg.detector)
-        ch = cfg.channel.with_attenuation(db)
-        try:
-            qd_only = _clamped_skr(gllp_skr(qd_dist, ch, cfg.detector))
-        except DomainError:
-            qd_only = 0.0
+        qd_only = qd_only_skr(cfg.source, db, cfg.channel, cfg.detector)
         laser_best = optimize_mu_laser(laser_only, db, cfg.channel, cfg.detector)
         rows.append(
             (
-                db, ch.km, best.mu_laser_opt, best.mix_ratio, best.purity_at_opt,
-                best.skr_opt, qd_only, laser_best.skr_opt,
+                db, db_to_km(db, cfg.channel.fiber_alpha), best.mu_laser_opt, best.mix_ratio,
+                best.purity_at_opt, best.skr_opt, qd_only, laser_best.skr_opt,
                 best.mu_laser_opt < MU_TOL,
             )
         )
@@ -109,11 +97,12 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     return 0
 
 
-def threshold_grid_rows(cfg: RunConfig) -> list[tuple]:
+def threshold_grid_rows(cfg: RunConfig, brightnesses, db_grid) -> list[tuple]:
+    """Optimal admixture per brightness and attenuation; brightness 0 is laser-only."""
     rows = []
-    for brightness in cfg.threshold_brightness:
+    for brightness in brightnesses:
         qd = QdSourceParams(brightness, cfg.source.g2 if brightness > 0.0 else 0.0)
-        for db in cfg.threshold_db:
+        for db in db_grid:
             best = optimize_mu_laser(qd, db, cfg.channel, cfg.detector)
             rows.append(
                 (
@@ -130,7 +119,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
     print(f"crossover_db = {crossover}")
     print(f"unconditional_advantage_brightness = {_format_value(report.unconditional_brightness)}")
     print(f"laser_beat_brightness = {_format_value(report.laser_beat_brightness)}")
-    rows = threshold_grid_rows(cfg)
+    rows = threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db)
     out = args.out or cfg.output
     if out is None:
         print()
@@ -201,7 +190,7 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
         written.append(path)
 
     # Distance scalings for fixed mixing ratios.
-    mu_qd, _ = infer_mu_mixed(cfg.source.brightness, cfg.source.g2, 0.0)
+    mu_qd = mean_photon_number(qd_distribution(cfg.source))
     mu_values = [_ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
     points = skr_scan(cfg.source, mu_values, cfg.db_grid, cfg.channel, cfg.detector)
     emit(
@@ -222,7 +211,11 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
     emit("fig3_optimized_scaling.csv", OPTIMIZE_COLUMNS, _optimize_rows(cfg, cfg.db_grid))
 
     # Optimal ratio over the brightness x attenuation plane.
-    emit("fig4a_optimal_ratio_grid.csv", THRESHOLD_COLUMNS, threshold_grid_rows(cfg))
+    emit(
+        "fig4a_optimal_ratio_grid.csv",
+        THRESHOLD_COLUMNS,
+        threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db),
+    )
 
     # Optimized distance scaling for a range of misalignment error rates.
     rows = []
@@ -260,19 +253,11 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
     )
 
     # Optimal laser mean photon number for several brightnesses (0 = laser only).
-    rows = []
-    for brightness in cfg.figure_mu_brightness:
-        qd = QdSourceParams(brightness, cfg.source.g2 if brightness > 0.0 else 0.0)
-        for db in cfg.db_grid:
-            best = optimize_mu_laser(qd, db, cfg.channel, cfg.detector)
-            rows.append(
-                (brightness, db, db_to_km(db, cfg.channel.fiber_alpha),
-                 best.mu_laser_opt, best.skr_opt)
-            )
+    rows = threshold_grid_rows(cfg, cfg.figure_mu_brightness, cfg.db_grid)
     emit(
         "supp_optimal_mu.csv",
         ["brightness", "db", "km", "mu_laser_opt", "skr_opt"],
-        rows,
+        [row[:4] + row[5:] for row in rows],
     )
     return written
 

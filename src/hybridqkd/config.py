@@ -20,13 +20,17 @@ from pathlib import Path
 
 from .channel import ChannelModel, DetectorModel
 from .errors import ConfigError, DomainError
-from .photon_stats import QdSourceParams
+from .photon_stats import MU_MAX, QdSourceParams
 
 PROFILE_DIR_ENV = "HYBRIDQKD_PROFILE_DIR"
 
 # Largest accepted run.n_pulses. At tens of Mpulses/s on one core this is
 # hours of simulation; anything larger is a typo, not a run.
 MAX_PULSES = 10**12
+# Most points a start:stop:step range may expand to. Dense sweeps use about
+# a thousand; a million already takes minutes of SKR evaluations, and the
+# count is checked before the list is built.
+MAX_GRID_POINTS = 10**6
 
 _KNOWN_KEYS = {
     "source": {"brightness", "g2"},
@@ -141,8 +145,12 @@ def _parse_list(entry: _Entry) -> list[float]:
             raise ConfigError("range step must be positive", entry.lineno, entry.origin)
         if stop < start:
             raise ConfigError("range stop must not be below start", entry.lineno, entry.origin)
-        count = int((stop - start) / step + 1e-9) + 1
-        return [start + i * step for i in range(count)]
+        points = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        if points >= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"range has more than {MAX_GRID_POINTS:.0e} points", entry.lineno, entry.origin
+            )
+        return [start + i * step for i in range(int(points) + 1)]
     return [_parse_number(tok.strip(), entry) for tok in value.split(",")]
 
 
@@ -199,10 +207,10 @@ def build_run_config(raw: RawConfig) -> RunConfig:
     source = reader.build(QdSourceParams, "source", brightness=brightness, g2=g2)
 
     mu_list = reader.numbers("laser", "mu", default=[])
-    if any(mu < 0.0 for mu in mu_list):
+    if any(not 0.0 <= mu <= MU_MAX for mu in mu_list):
         entry = reader.entry("laser", "mu")
         raise ConfigError(
-            "laser mean photon numbers must be nonnegative", entry.lineno, entry.origin
+            f"laser mean photon numbers must be in [0, {MU_MAX:g}]", entry.lineno, entry.origin
         )
 
     alpha = reader.number("channel", "alpha", 0.21)

@@ -111,7 +111,7 @@ def _photon_hits(
     p_emit = float(tail[-1])
     emitting = _bernoulli_positions(rng, p_emit, size)
     cdf = tail / p_emit if p_emit > 0.0 else tail
-    cdf[-1] = 1.0  # guard float shortfall so sampling never overruns k_max
+    cdf[-1] = 1.0  # guard float shortfall so sampling never runs past the vector
     k = np.searchsorted(cdf, rng.random(emitting.size), side="right") + 1
     if eta >= 1.0:
         arrived = np.ones(k.size, dtype=bool)

@@ -13,6 +13,7 @@ import numpy as np
 from .channel import ChannelModel, DetectorModel
 from .errors import DomainError
 from .photon_stats import (
+    MU_MAX,
     QdSourceParams,
     g2_of,
     hybrid_distribution,
@@ -21,8 +22,7 @@ from .photon_stats import (
 )
 from .security import SkrReport, gllp_skr
 
-# Search domain and resolution of the laser mean photon number.
-MU_MAX = 5.0
+# Resolution of the laser mean photon number; MU_MAX bounds its search.
 MU_TOL = 1e-4
 # Relative SKR improvements below this count as ties, resolved toward purity.
 SKR_REL_TOL = 1e-6
@@ -33,7 +33,8 @@ BRIGHTNESS_TOL = 1e-4
 
 # Coarse grid, scanned before golden-section refinement: the objective is
 # empirically unimodal but unproven, so the grid protects against local optima.
-_MU_GRID = np.concatenate(([0.0], np.logspace(math.log10(MU_TOL), math.log10(MU_MAX), 64)))
+# geomspace ends exactly at MU_MAX, which distributions accept.
+_MU_GRID = np.concatenate(([0.0], np.geomspace(MU_TOL, MU_MAX, 64)))
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Attenuations probed when deciding whether mixing helps anywhere; the
@@ -137,12 +138,12 @@ def optimize_mu_laser(
     return OptimizationResult(attenuation_db, mu_opt, skr_opt, ratio, purity)
 
 
-def _qd_only_positive(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> bool:
+def qd_only_skr(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> float:
+    """Clamped SKR of the bare quantum-dot source; 0 when it gives no clicks."""
     try:
-        report = gllp_skr(qd_distribution(qd), channel.with_attenuation(db), det)
+        return _clamped_skr(gllp_skr(qd_distribution(qd), channel.with_attenuation(db), det))
     except DomainError:  # dark source with no dark counts: no clicks at all
-        return False
-    return not report.clamped and report.skr_per_pulse > 0.0
+        return 0.0
 
 
 def crossover_attenuation(
@@ -169,7 +170,7 @@ def crossover_attenuation(
             hi = mid
     # A genuine crossover needs a single-photon key at the boundary;
     # otherwise the admixture just died together with the key itself.
-    if not _qd_only_positive(qd, hi, channel, det):
+    if qd_only_skr(qd, hi, channel, det) <= 0.0:
         return None
     return hi
 
@@ -211,15 +212,7 @@ def laser_beat_brightness(
     laser_best = optimize_mu_laser(QdSourceParams(0.0, 0.0), 0.0, channel, det).skr_opt
 
     def qd_wins(brightness: float) -> bool:
-        try:
-            report = gllp_skr(
-                qd_distribution(QdSourceParams(brightness, g2)),
-                channel.with_attenuation(0.0),
-                det,
-            )
-        except DomainError:
-            return False
-        return _clamped_skr(report) > laser_best
+        return qd_only_skr(QdSourceParams(brightness, g2), 0.0, channel, det) > laser_best
 
     if qd_wins(0.0):
         return 0.0

@@ -1,57 +1,91 @@
 """Photon-number distributions for quantum-dot, laser, and hybrid sources.
 
-Distributions are finite arrays of Fock-state probabilities p_k truncated at
-a cutoff k_max. Every constructor renormalizes after truncation so that
-downstream sums (gains, error rates, multiphoton mass) stay unbiased.
+A distribution is a finite Fock part f convolved with Poisson(mu), the
+incoherent mixture of quantum-dot and laser light, with generating function
+G(x) = (sum_k f_k x^k) e^(mu (x - 1)). Threshold detection sees only
+G(1 - eta), so totals, multiphoton probability, moments and loss are closed
+forms without truncation. Only the pulse-level Monte Carlo needs the explicit
+Fock vector ``probs``, built on demand with the Poisson tail cut at 1e-13.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DomainError
 
-# Mass a constructor may shed through truncation before renormalizing.
+# How far a Fock part may sum from 1 before it is renormalized.
 NORM_TOL = 1e-9
-# Auto-cutoff tail target. Tighter than NORM_TOL so that truncation cannot
-# move distribution means at the 1e-9 level even for mu up to 5.
+# Tail mass the explicit Fock vector cuts from the Poisson part, and the
+# fewest photon numbers it keeps.
 POISSON_TAIL = 1e-13
 MIN_KMAX = 20
+# Largest Poisson mean accepted: the optimizer's search range, and small
+# enough that e^(-mu) stays far from underflow, so the Fock vector's
+# recurrence reaches its tail.
+MU_MAX = 5.0
 # Below this g2 the two-photon quadratic is 0/0; limit branches apply.
 G2_ZERO = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class PhotonNumberDistribution:
-    """Probabilities p_k for k = 0..k_max photons, normalized to 1."""
+    """Photon-number law: the Fock part ``f`` convolved with Poisson(``mu``).
 
-    probs: np.ndarray
+    ``f`` holds probabilities f_k for k = 0..n (n >= 2), normalized to 1.
+    """
+
+    f: np.ndarray
+    mu: float = 0.0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float).copy()
-        if probs.ndim != 1 or probs.size < 3:
+        f = np.asarray(self.f, dtype=float).copy()
+        if f.ndim != 1 or f.size < 3:
             raise DomainError("a photon-number distribution needs k_max >= 2")
-        if not np.all(np.isfinite(probs)):
+        if not np.all(np.isfinite(f)):
             raise DomainError("photon-number probabilities must be finite")
-        if np.any(probs < -1e-12):
+        if np.any(f < -1e-12):
             raise DomainError("photon-number probabilities must be nonnegative")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
+        f = np.clip(f, 0.0, None)
+        total = f.sum()
         if not (1.0 - NORM_TOL <= total <= 1.0 + NORM_TOL):
             raise DomainError(
                 f"photon-number probabilities sum to {total!r}, expected 1 "
                 f"within {NORM_TOL:g}"
             )
-        probs /= total
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        f /= total
+        f.setflags(write=False)
+        object.__setattr__(self, "f", f)
+        if not 0.0 <= self.mu <= MU_MAX:
+            raise DomainError(
+                f"mean photon number must be in [0, {MU_MAX:g}], got {self.mu!r}"
+            )
+        object.__setattr__(self, "mu", float(self.mu))
 
-    @property
-    def k_max(self) -> int:
-        return self.probs.size - 1
+    def arrival_probability(self, eta: float) -> float:
+        """1 - G(1 - eta): the probability that some photon survives a channel
+        of transmissivity eta. It is summed from nonnegative terms, with
+        1 - x^k = eta (1 + x + ... + x^(k-1)), because at high loss G rounds to 1."""
+        x = 1.0 - eta
+        fock = powers = 0.0  # powers = 1 + x + ... + x^(k-1)
+        for f_k in self.f.tolist()[1:]:
+            powers = 1.0 + x * powers
+            fock += f_k * powers
+        fock *= eta
+        return fock - (1.0 - fock) * math.expm1(-self.mu * eta)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Explicit p_k, k = 0..k_max; the Poisson tail is cut below 1e-13."""
+        if self.mu == 0.0:
+            return self.f
+        probs = np.convolve(self.f, _poisson_pmf(self.mu))
+        probs /= probs.sum()
+        probs.setflags(write=False)
+        return probs
 
 
 @dataclass(frozen=True)
@@ -72,46 +106,31 @@ class QdSourceParams:
             raise DomainError("2 * g2 * brightness > 1: two-photon root is complex")
 
 
-def _poisson_pmf(mu: float, k_max: int) -> np.ndarray:
-    if mu == 0.0:
-        probs = np.zeros(k_max + 1)
-        probs[0] = 1.0
-        return probs
-    ks = np.arange(k_max + 1)
-    return np.exp(ks * math.log(mu) - mu - special.gammaln(ks + 1.0))
+def _poisson_pmf(mu: float) -> np.ndarray:
+    """Poisson(mu) masses for k = 0..k_max: the smallest k_max >= MIN_KMAX
+    whose tail mass is at most POISSON_TAIL."""
+    pmf = [math.exp(-mu)]
+    total = pmf[0]
+    while len(pmf) <= MIN_KMAX or 1.0 - total > POISSON_TAIL:
+        pmf.append(pmf[-1] * mu / len(pmf))
+        total += pmf[-1]
+    return np.array(pmf)
 
 
-def _auto_poisson_cutoff(mu: float) -> int:
-    """Smallest k_max >= MIN_KMAX whose truncated tail mass is <= POISSON_TAIL."""
-    bound = max(MIN_KMAX, math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0))
-    while True:
-        probs = _poisson_pmf(mu, bound)
-        tail = np.maximum(1.0 - np.cumsum(probs), 0.0)
-        ok = np.flatnonzero(tail[MIN_KMAX:] <= POISSON_TAIL)
-        if ok.size:
-            return MIN_KMAX + int(ok[0])
-        bound = math.ceil(bound * 1.5)
+def _two_photon_weight(b: float, g2: float) -> float:
+    """p2 solving (b + p2)^2 g2 = 2 p2, on the root compatible with a
+    single-photon source."""
+    if g2 < G2_ZERO:
+        return 0.0
+    disc = 1.0 - 2.0 * g2 * b
+    if disc < 0.0:
+        raise DomainError("2 * g2 * brightness > 1: two-photon root is complex")
+    return (1.0 - g2 * b - math.sqrt(disc)) / g2
 
 
-def poisson_distribution(mu: float, k_max: int = 0) -> PhotonNumberDistribution:
-    """Truncated Poisson statistics: p_k proportional to e^(-mu) mu^k / k!.
-
-    ``k_max = 0`` selects the cutoff automatically (tail mass <= 1e-13,
-    floor 20). An explicit cutoff must keep the shed tail below 1e-9.
-    """
-    if mu < 0.0:
-        raise DomainError(f"mean photon number must be nonnegative, got {mu!r}")
-    if k_max == 0:
-        k_max = _auto_poisson_cutoff(mu)
-    elif k_max < 2:
-        raise DomainError(f"k_max must be at least 2, got {k_max!r}")
-    probs = _poisson_pmf(mu, k_max)
-    if 1.0 - probs.sum() > NORM_TOL:
-        raise DomainError(
-            f"k_max = {k_max} sheds {1.0 - probs.sum():.3e} of Poisson mass "
-            f"at mu = {mu!r}; raise the cutoff"
-        )
-    return PhotonNumberDistribution(probs)
+def poisson_distribution(mu: float) -> PhotonNumberDistribution:
+    """Poisson statistics p_k = e^(-mu) mu^k / k!: the vacuum with Poisson mean mu."""
+    return PhotonNumberDistribution(np.array([1.0, 0.0, 0.0]), mu)
 
 
 def qd_distribution(params: QdSourceParams) -> PhotonNumberDistribution:
@@ -120,72 +139,56 @@ def qd_distribution(params: QdSourceParams) -> PhotonNumberDistribution:
     p2 solves (brightness + p2)^2 g2 = 2 p2, keeping the root compatible
     with a single-photon source; p1 + p2 equals the brightness exactly.
     """
-    b, g2 = params.brightness, params.g2
-    if g2 < G2_ZERO:
-        p2 = 0.0
-    else:
-        disc = 1.0 - 2.0 * g2 * b
-        if disc < 0.0:
-            raise DomainError("2 * g2 * brightness > 1: two-photon root is complex")
-        p2 = (1.0 - g2 * b - math.sqrt(disc)) / g2
+    b = params.brightness
+    p2 = _two_photon_weight(b, params.g2)
     return PhotonNumberDistribution(np.array([1.0 - b, b - p2, p2]))
 
 
-def hybrid_distribution(
-    qd: PhotonNumberDistribution, mu_laser: float, k_max: int = 0
-) -> PhotonNumberDistribution:
-    """Incoherent mixture of QD and laser light: convolution of the two
-    photon-number distributions. ``k_max = 0`` selects the cutoff
-    automatically from the laser statistics.
-    """
-    if qd.probs.size != 3:
+def hybrid_distribution(qd: PhotonNumberDistribution, mu_laser: float) -> PhotonNumberDistribution:
+    """Incoherent mixture of QD and laser light: QD statistics convolved with
+    Poisson(mu_laser)."""
+    if qd.f.size != 3 or qd.mu != 0.0:
         raise DomainError("hybrid mixing expects QD statistics truncated at two photons")
-    if mu_laser < 0.0:
-        raise DomainError(f"mean photon number must be nonnegative, got {mu_laser!r}")
-    laser = poisson_distribution(mu_laser)
-    probs = np.convolve(qd.probs, laser.probs)
-    if k_max:
-        if k_max < 2:
-            raise DomainError(f"k_max must be at least 2, got {k_max!r}")
-        if k_max + 1 < probs.size:
-            shed = probs[k_max + 1:].sum()
-            if shed > NORM_TOL:
-                raise DomainError(
-                    f"k_max = {k_max} sheds {shed:.3e} of hybrid mass; raise the cutoff"
-                )
-            probs = probs[: k_max + 1]
-        elif k_max + 1 > probs.size:
-            probs = np.pad(probs, (0, k_max + 1 - probs.size))
-    return PhotonNumberDistribution(probs)
+    return PhotonNumberDistribution(qd.f, mu_laser)
+
+
+def _fock_moments(dist: PhotonNumberDistribution) -> tuple[float, float]:
+    """Factorial moments E[k] and E[k(k - 1)] of the Fock part f."""
+    ks = np.arange(dist.f.size)
+    return float(ks @ dist.f), float((ks * (ks - 1.0)) @ dist.f)
 
 
 def mean_photon_number(dist: PhotonNumberDistribution) -> float:
-    """First moment sum_k k p_k."""
-    return float(np.arange(dist.probs.size) @ dist.probs)
+    """First moment sum_k k p_k: the Fock part's plus mu."""
+    return _fock_moments(dist)[0] + dist.mu
 
 
 def g2_of(dist: PhotonNumberDistribution) -> float:
-    """Second-order correlation g2(0) = sum_k k(k-1) p_k / mu^2."""
-    mu = mean_photon_number(dist)
-    if mu <= 0.0:
+    """Second-order correlation g2(0) = sum_k k(k-1) p_k / mean^2. With the Fock
+    part's factorial moments m1_f and m2_f the sum is m2_f + 2 mu m1_f + mu^2;
+    each term is divided by the mean on its own, so g2 stays finite where the
+    squared mean underflows."""
+    m1_f, m2_f = _fock_moments(dist)
+    mean = m1_f + dist.mu
+    if mean <= 0.0:
         raise DomainError("g2(0) is undefined for a zero-mean distribution")
-    ks = np.arange(dist.probs.size)
-    return float((ks * (ks - 1.0)) @ dist.probs) / (mu * mu)
+    laser = dist.mu / mean
+    return laser * (laser + 2.0 * m1_f / mean) + m2_f / mean / mean
 
 
 def apply_loss(dist: PhotonNumberDistribution, eta: float) -> PhotonNumberDistribution:
-    """Binomial thinning: each photon survives independently with probability eta."""
+    """Binomial thinning: each photon survives independently with probability eta.
+
+    The Fock part is thinned exactly; a thinned Poisson(mu) is Poisson(eta mu).
+    """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmissivity must be in [0, 1], got {eta!r}")
     if eta == 1.0:
         return dist
-    if eta == 0.0:
-        probs = np.zeros(dist.probs.size)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs)
-    ks = np.arange(dist.probs.size)
-    thin = stats.binom.pmf(ks[:, None], ks[None, :], eta)
-    return PhotonNumberDistribution(thin @ dist.probs)
+    ks = np.arange(dist.f.size)
+    comb = np.array([[math.comb(k, j) for k in ks] for j in ks], dtype=float)  # 0 for j > k
+    thin = comb * eta ** ks[:, None] * (1.0 - eta) ** np.maximum(ks - ks[:, None], 0)
+    return PhotonNumberDistribution(thin @ dist.f, eta * dist.mu)
 
 
 def brightness_after_loss(b0: float, g2: float, eta: float) -> float:
@@ -201,10 +204,4 @@ def brightness_after_loss(b0: float, g2: float, eta: float) -> float:
         raise DomainError(f"transmissivity must be in [0, 1], got {eta!r}")
     if g2 < 0.0:
         raise DomainError(f"g2 must be nonnegative, got {g2!r}")
-    if g2 < G2_ZERO:
-        return eta * b0
-    disc = 1.0 - 2.0 * g2 * b0
-    if disc < 0.0:
-        raise DomainError("2 * g2 * brightness > 1: two-photon root is complex")
-    p2 = (1.0 - g2 * b0 - math.sqrt(disc)) / g2
-    return eta * b0 + eta * (1.0 - eta) * p2
+    return eta * b0 + eta * (1.0 - eta) * _two_photon_weight(b0, g2)

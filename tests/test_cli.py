@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,13 @@ from hybridqkd.cli import main
 
 DATA = Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.profile")
+SRC = Path(__file__).parent.parent / "src"
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, hybridqkd.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0
 
 
 class TestScan:
@@ -67,12 +77,25 @@ class TestConfigHandling:
             "--laser.mu=nan",
             "--channel.db=nan",
             "--channel.db=1e400",
+            "--channel.db=0:1e300:1e-300",
+            "--channel.db=0:60:1e-6",
         ],
     )
     def test_non_finite_and_runaway_numbers_rejected(self, override, capsys):
         assert main(["scan", "-c", TINY, override]) == 2
         target = override.split("=", 1)[0]
         assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
+    def test_laser_mu_bounded_by_mu_max(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["montecarlo", "-c", TINY, "--laser.mu=1e6", "--channel.db=0"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith("error: --laser.mu: ")
+        profile = tmp_path / "bright.profile"
+        profile.write_text(Path(TINY).read_text().replace("mu = 0, 0.1", "mu = 0, 5.5"))
+        assert main(["scan", "-c", str(profile)]) == 2
+        assert f"{profile}:8: " in capsys.readouterr().err
+        assert main(["scan", "-c", TINY, "--laser.mu=5", "--channel.db=0"]) == 0
 
     def test_removed_laser_optimize_key_is_unknown(self, capsys):
         assert main(["scan", "-c", TINY, "--laser.optimize=1"]) == 2

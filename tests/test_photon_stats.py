@@ -15,6 +15,7 @@ from hybridqkd import (
     poisson_distribution,
     qd_distribution,
 )
+from hybridqkd.photon_stats import MIN_KMAX, MU_MAX, POISSON_TAIL
 
 
 def random_qd_params(rng):
@@ -32,7 +33,6 @@ class TestPoisson:
         dist = poisson_distribution(0.0)
         assert dist.probs[0] == 1.0
         assert dist.probs[1:].sum() == 0.0
-        assert dist.k_max >= 20
 
     def test_mu_one_analytic(self):
         dist = poisson_distribution(1.0)
@@ -40,7 +40,7 @@ class TestPoisson:
 
     def test_p2_at_half(self):
         # oracle: direct mass function, cross-checked against normalization
-        dist = poisson_distribution(0.5, k_max=20)
+        dist = poisson_distribution(0.5)
         assert dist.probs[2] == pytest.approx(0.07581633246407918, abs=1e-12)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -52,11 +52,25 @@ class TestPoisson:
         with pytest.raises(DomainError):
             poisson_distribution(-0.1)
 
-    def test_explicit_cutoff_must_keep_tail_small(self):
-        with pytest.raises(DomainError):
-            poisson_distribution(5.0, k_max=5)
-        with pytest.raises(DomainError):
-            poisson_distribution(1.0, k_max=1)
+    @pytest.mark.parametrize("mu", [0.3, 2.7, MU_MAX])
+    def test_fock_vector_cuts_smallest_tail_below_limit(self, mu):
+        k_max = int(np.flatnonzero(poisson_distribution(mu).probs)[-1])
+
+        def tail(k):  # exact Poisson mass above k, as a sum of positive terms
+            return sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(k + 1, k + 80))
+
+        assert k_max >= MIN_KMAX
+        assert tail(k_max) <= POISSON_TAIL
+        assert k_max == MIN_KMAX or tail(k_max - 1) > POISSON_TAIL
+
+    def test_mu_above_mu_max_rejected(self):
+        assert poisson_distribution(MU_MAX).mu == MU_MAX
+        qd = qd_distribution(QdSourceParams(0.1, 0.01))
+        for mu in (math.nextafter(MU_MAX, math.inf), 1e6, math.nan):
+            with pytest.raises(DomainError):
+                poisson_distribution(mu)
+            with pytest.raises(DomainError):
+                hybrid_distribution(qd, mu)
 
 
 class TestQdDistribution:
@@ -147,15 +161,6 @@ class TestHybrid:
         with pytest.raises(DomainError):
             hybrid_distribution(qd, -0.5)
 
-    def test_explicit_cutoff(self):
-        qd = qd_distribution(QdSourceParams(0.1, 0.01))
-        wide = hybrid_distribution(qd, 0.3, k_max=60)
-        auto = hybrid_distribution(qd, 0.3)
-        assert wide.k_max == 60
-        assert np.allclose(wide.probs[: auto.probs.size], auto.probs, atol=1e-12)
-        with pytest.raises(DomainError):
-            hybrid_distribution(qd, 2.0, k_max=3)  # sheds far too much mass
-
 
 class TestMoments:
     def test_mean_examples(self):
@@ -191,7 +196,7 @@ class TestApplyLoss:
 
     def test_poisson_thinning_closure(self):
         thinned = apply_loss(poisson_distribution(0.8), 0.35)
-        target = poisson_distribution(0.8 * 0.35, k_max=thinned.k_max)
+        target = poisson_distribution(0.8 * 0.35)
         assert np.allclose(thinned.probs, target.probs, atol=1e-9)
 
     def test_mean_scales_exactly(self):
