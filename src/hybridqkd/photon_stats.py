@@ -75,7 +75,7 @@ class PhotonNumberDistribution:
             powers = 1.0 + x * powers
             fock += f_k * powers
         fock *= eta
-        return fock - (1.0 - fock) * math.expm1(-self.mu * eta)
+        return fock - (1.0 - fock) * math.expm1(-self.mu * eta)  # 1 - fock = f(1 - eta)
 
     @cached_property
     def probs(self) -> np.ndarray:

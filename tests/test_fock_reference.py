@@ -1,10 +1,9 @@
 """Closed forms of the photon-number model against explicit Fock sums.
 
-The library never sums over photon numbers: totals, multiphoton
-probability, moments and loss all come from the generating function of a
-finite Fock part convolved with Poisson statistics. The sums written out
-below, over the materialized vector ``dist.probs``, are the reference they
-must match.
+The analytic code never sums over the Poisson tail: totals, multiphoton
+probability, moments and loss are closed forms for a finite Fock part
+convolved with Poisson statistics. The sums written out below, over the
+materialized vector ``dist.probs``, are the reference they must match.
 """
 import math
 
