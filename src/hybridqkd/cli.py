@@ -59,19 +59,20 @@ def _write_csv(columns: list[str], rows: list[tuple], out: str | None):
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
+def _scan_row(p) -> tuple:
+    """One SCAN_COLUMNS row."""
+    r = p.report
+    return (
+        p.attenuation_db, p.km, p.mu_laser, p.mu_mixed, p.mix_ratio, p.g2_hybrid,
+        r.q_tot, r.e_tot, r.a_fraction, r.skr_per_pulse, r.skr_per_second, r.clamped,
+    )
+
+
 def cmd_scan(cfg: RunConfig, args) -> int:
     if not cfg.mu_list:
         raise ConfigError("scan needs a nonempty 'mu' list in [laser]")
     points = skr_scan(cfg.source, cfg.mu_list, cfg.db_grid, cfg.channel, cfg.detector)
-    rows = [
-        (
-            p.attenuation_db, p.km, p.mu_laser, p.mu_mixed, p.mix_ratio, p.g2_hybrid,
-            p.report.q_tot, p.report.e_tot, p.report.a_fraction,
-            p.report.skr_per_pulse, p.report.skr_per_second, p.report.clamped,
-        )
-        for p in points
-    ]
-    _write_csv(SCAN_COLUMNS, rows, args.out or cfg.output)
+    _write_csv(SCAN_COLUMNS, [_scan_row(p) for p in points], args.out or cfg.output)
     return 0
 
 
@@ -97,20 +98,29 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     return 0
 
 
-def threshold_grid_rows(cfg: RunConfig, brightnesses, db_grid) -> list[tuple]:
-    """Optimal admixture per brightness and attenuation; brightness 0 is laser-only."""
+def _optimum_rows(cfg: RunConfig, cases, db_grid) -> list[tuple]:
+    """(label, db, km, mu_laser_opt, ratio_opt, skr_opt) for every
+    (label, source, detector) case and attenuation, in that order."""
     rows = []
-    for brightness in brightnesses:
-        qd = QdSourceParams(brightness, cfg.source.g2 if brightness > 0.0 else 0.0)
+    for label, qd, det in cases:
         for db in db_grid:
-            best = optimize_mu_laser(qd, db, cfg.channel, cfg.detector)
+            best = optimize_mu_laser(qd, db, cfg.channel, det)
             rows.append(
                 (
-                    brightness, db, db_to_km(db, cfg.channel.fiber_alpha),
+                    label, db, db_to_km(db, cfg.channel.fiber_alpha),
                     best.mu_laser_opt, best.mix_ratio, best.skr_opt,
                 )
             )
     return rows
+
+
+def threshold_grid_rows(cfg: RunConfig, brightnesses, db_grid) -> list[tuple]:
+    """Optimal admixture per brightness and attenuation; brightness 0 is laser-only."""
+    cases = (
+        (b, QdSourceParams(b, cfg.source.g2 if b > 0.0 else 0.0), cfg.detector)
+        for b in brightnesses
+    )
+    return _optimum_rows(cfg, cases, db_grid)
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
@@ -196,15 +206,7 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
     emit(
         "fig2_skr_vs_attenuation.csv",
         ["ratio_label"] + SCAN_COLUMNS,
-        [
-            (
-                cfg.figure_ratios[i % len(mu_values)],
-                p.attenuation_db, p.km, p.mu_laser, p.mu_mixed, p.mix_ratio,
-                p.g2_hybrid, p.report.q_tot, p.report.e_tot, p.report.a_fraction,
-                p.report.skr_per_pulse, p.report.skr_per_second, p.report.clamped,
-            )
-            for i, p in enumerate(points)
-        ],
+        [(cfg.figure_ratios[i % len(mu_values)],) + _scan_row(p) for i, p in enumerate(points)],
     )
 
     # Optimized admixture, purity, and SKR against attenuation.
@@ -218,19 +220,14 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
     )
 
     # Optimized distance scaling for a range of misalignment error rates.
-    rows = []
-    for e_d in cfg.figure_error_rates:
-        det = dataclasses.replace(cfg.detector, e_d=e_d)
-        for db in cfg.db_grid:
-            best = optimize_mu_laser(cfg.source, db, cfg.channel, det)
-            rows.append(
-                (e_d, db, db_to_km(db, cfg.channel.fiber_alpha),
-                 best.mu_laser_opt, best.mix_ratio, best.skr_opt)
-            )
+    cases = (
+        (e_d, cfg.source, dataclasses.replace(cfg.detector, e_d=e_d))
+        for e_d in cfg.figure_error_rates
+    )
     emit(
         "supp_error_rate_sweep.csv",
         ["e_d", "db", "km", "mu_laser_opt", "ratio_opt", "skr_opt"],
-        rows,
+        _optimum_rows(cfg, cases, cfg.db_grid),
     )
 
     # Single-photon-only distance scaling for a range of brightnesses.

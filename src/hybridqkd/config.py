@@ -187,6 +187,18 @@ class _Reader:
             return list(default)
         return _parse_list(entry)
 
+    def one_of(self, section: str, first: str, second: str) -> tuple[str, _Entry]:
+        """The key and entry of whichever of two exclusive keys is given."""
+        a, b = self.entry(section, first), self.entry(section, second)
+        if (a is None) == (b is None):
+            lineno = (a or b).lineno if (a or b) else None
+            raise ConfigError(
+                f"exactly one of '{first}' or '{second}' must be given in [{section}]",
+                lineno,
+                self.origin,
+            )
+        return (first, a) if a is not None else (second, b)
+
     def string(self, section: str, key: str) -> str | None:
         entry = self.entry(section, key)
         return entry.raw if entry is not None else None
@@ -200,7 +212,6 @@ class _Reader:
 
 def build_run_config(raw: RawConfig) -> RunConfig:
     reader = _Reader(raw)
-    origin = raw.origin
 
     brightness = reader.number("source", "brightness")
     g2 = reader.number("source", "g2")
@@ -215,18 +226,10 @@ def build_run_config(raw: RawConfig) -> RunConfig:
 
     alpha = reader.number("channel", "alpha", 0.21)
     eta0 = reader.number("channel", "eta0", 1.0)
-    db_entry = reader.entry("channel", "db")
-    km_entry = reader.entry("channel", "km")
-    if (db_entry is None) == (km_entry is None):
-        lineno = (db_entry or km_entry).lineno if (db_entry or km_entry) else None
-        raise ConfigError(
-            "exactly one of 'db' or 'km' must be given in [channel]", lineno, origin
-        )
-    if db_entry is not None:
-        db_grid = _parse_list(db_entry)
-    else:
-        db_grid = [km * alpha for km in _parse_list(km_entry)]
-    grid_entry = db_entry or km_entry
+    grid_key, grid_entry = reader.one_of("channel", "db", "km")
+    db_grid = _parse_list(grid_entry)
+    if grid_key == "km":
+        db_grid = [km * alpha for km in db_grid]
     if any(db < 0.0 for db in db_grid):
         raise ConfigError(
             "attenuations must be nonnegative", grid_entry.lineno, grid_entry.origin
@@ -234,19 +237,10 @@ def build_run_config(raw: RawConfig) -> RunConfig:
     channel = reader.build(ChannelModel, "channel", fiber_alpha=alpha, eta0=eta0)
 
     rep_rate = reader.number("detector", "rep_rate_hz", 81.96e6)
-    y0_entry = reader.entry("detector", "y0")
-    dark_entry = reader.entry("detector", "dark_rate_hz")
-    if (y0_entry is None) == (dark_entry is None):
-        lineno = (y0_entry or dark_entry).lineno if (y0_entry or dark_entry) else None
-        raise ConfigError(
-            "exactly one of 'y0' or 'dark_rate_hz' must be given in [detector]",
-            lineno,
-            origin,
-        )
-    if y0_entry is not None:
-        y0 = _parse_number(y0_entry.raw, y0_entry)
-    else:
-        y0 = _parse_number(dark_entry.raw, dark_entry) / rep_rate
+    y0_key, y0_entry = reader.one_of("detector", "y0", "dark_rate_hz")
+    y0 = _parse_number(y0_entry.raw, y0_entry)
+    if y0_key == "dark_rate_hz":
+        y0 /= rep_rate
     detector = reader.build(
         DetectorModel,
         "detector",

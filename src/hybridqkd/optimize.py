@@ -37,10 +37,6 @@ BRIGHTNESS_TOL = 1e-4
 _MU_GRID = np.concatenate(([0.0], np.geomspace(MU_TOL, MU_MAX, 64)))
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Attenuations probed when deciding whether mixing helps anywhere; the
-# optimal admixture shrinks with attenuation, so low loss carries the signal.
-_PROBE_DB = (0.0, 0.5, 1.0, 2.0)
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -146,6 +142,34 @@ def qd_only_skr(qd: QdSourceParams, db: float, channel: ChannelModel, det: Detec
         return 0.0
 
 
+def _mixes(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> bool:
+    """Whether mixing in laser light improves the SKR at this attenuation."""
+    return optimize_mu_laser(qd, db, channel, det).mu_laser_opt >= MU_TOL
+
+
+def _last_true(pred, lo: float, hi: float, tol: float) -> float:
+    """Bisect a predicate that holds at lo and fails at hi down to a bracket
+    of width tol; returns the bracket's upper end, the first value known to
+    fail."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _brightness_boundary(pred) -> float:
+    """Brightness in [0, 1] at which pred stops holding, to BRIGHTNESS_TOL:
+    0 when it fails already at 0, 1 when it still holds at 1."""
+    if not pred(0.0):
+        return 0.0
+    if pred(1.0):
+        return 1.0
+    return _last_true(pred, 0.0, 1.0, BRIGHTNESS_TOL)
+
+
 def crossover_attenuation(
     qd: QdSourceParams, channel: ChannelModel, det: DetectorModel
 ) -> float | None:
@@ -153,21 +177,9 @@ def crossover_attenuation(
     optimal, to 0.05 dB. None when mixing never helps (zero everywhere) or
     when laser light helps everywhere a key exists at all.
     """
-
-    def improves(db: float) -> bool:
-        return optimize_mu_laser(qd, db, channel, det).mu_laser_opt >= MU_TOL
-
-    if not improves(0.0):
+    if not _mixes(qd, 0.0, channel, det) or _mixes(qd, DB_MAX, channel, det):
         return None
-    if improves(DB_MAX):
-        return None
-    lo, hi = 0.0, DB_MAX
-    while hi - lo > DB_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if improves(mid):
-            lo = mid
-        else:
-            hi = mid
+    hi = _last_true(lambda db: _mixes(qd, db, channel, det), 0.0, DB_MAX, DB_RESOLUTION)
     # A genuine crossover needs a single-photon key at the boundary;
     # otherwise the admixture just died together with the key itself.
     if qd_only_skr(qd, hi, channel, det) <= 0.0:
@@ -175,57 +187,37 @@ def crossover_attenuation(
     return hi
 
 
-def _mixing_improves_somewhere(
-    brightness: float, g2: float, channel: ChannelModel, det: DetectorModel
-) -> bool:
-    qd = QdSourceParams(brightness, g2)
-    return any(
-        optimize_mu_laser(qd, db, channel, det).mu_laser_opt >= MU_TOL
-        for db in _PROBE_DB
-    )
-
-
 def unconditional_advantage_brightness(
     g2: float, det: DetectorModel, channel: ChannelModel
 ) -> float:
     """Smallest collected brightness at which mixing in laser light no longer
-    improves the SKR at any attenuation."""
-    if not _mixing_improves_somewhere(0.0, g2, channel, det):
-        return 0.0
-    if _mixing_improves_somewhere(1.0, g2, channel, det):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BRIGHTNESS_TOL:
-        mid = 0.5 * (lo + hi)
-        if _mixing_improves_somewhere(mid, g2, channel, det):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    improves the SKR at any attenuation.
+
+    The decision is taken at 0 dB alone: the optimal admixture shrinks as
+    loss grows, so mixing that helps at some attenuation also helps at every
+    smaller one, and at 0 dB above all.
+    """
+    return _brightness_boundary(
+        lambda brightness: _mixes(QdSourceParams(brightness, g2), 0.0, channel, det)
+    )
 
 
 def laser_beat_brightness(
     g2: float, det: DetectorModel, channel: ChannelModel
 ) -> float:
     """Collected brightness above which the bare quantum-dot SKR exceeds the
-    best laser-only SKR at zero applied attenuation."""
+    best laser-only SKR at zero applied attenuation.
+
+    The search assumes the bare-dot SKR does not fall as brightness rises.
+    Where g2 is large against eta0 it can, and a window of brightness in
+    which the dot wins, closed before brightness 1, is reported as 1.
+    """
     laser_best = optimize_mu_laser(QdSourceParams(0.0, 0.0), 0.0, channel, det).skr_opt
 
     def qd_wins(brightness: float) -> bool:
         return qd_only_skr(QdSourceParams(brightness, g2), 0.0, channel, det) > laser_best
 
-    if qd_wins(0.0):
-        return 0.0
-    if not qd_wins(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BRIGHTNESS_TOL:
-        mid = 0.5 * (lo + hi)
-        if qd_wins(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _brightness_boundary(lambda brightness: not qd_wins(brightness))
 
 
 def advantage_report(

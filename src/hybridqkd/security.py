@@ -109,7 +109,8 @@ def skr_from_observables(
         SKR >= p_click/2 ( A (1 - H2(e/A)) - f_EC H2(e) )
 
     with A the single-photon component of the clicks. Entry point for
-    users with experimental data instead of a source model.
+    users with experimental data instead of a source model; it is the
+    source-model bound with Q_tot = p_click and p_m = (1 - A) p_click.
     """
     if p_click <= 0.0 or p_click > 1.0:
         raise DomainError(f"p_click must be in (0, 1], got {p_click!r}")
@@ -117,14 +118,9 @@ def skr_from_observables(
         raise DomainError(f"error rate must be in [0, 1], got {error_rate!r}")
     if not 0.0 <= a_fraction <= 1.0:
         raise DomainError(f"single-photon component must be in [0, 1], got {a_fraction!r}")
-    ratio = error_rate / a_fraction if a_fraction > 0.0 else 1.0
-    ratio_clip = min(max(ratio, 0.0), 1.0)
-    clamped = a_fraction <= 0.0 or ratio_clip >= 0.5 or ratio_clip != ratio
-    skr = 0.5 * p_click * (
-        a_fraction * (1.0 - binary_entropy(ratio_clip)) - f_ec * binary_entropy(error_rate)
-    )
+    p_m = (1.0 - a_fraction) * p_click
+    skr, _, clamped = _bound_terms(p_click, error_rate, p_m, f_ec)
     per_second = 0.0
     if rep_rate_hz is not None and not clamped:
         per_second = max(skr, 0.0) * rep_rate_hz
-    p_m = (1.0 - a_fraction) * p_click
     return SkrReport(p_click, error_rate, p_m, a_fraction, skr, per_second, clamped)

@@ -63,6 +63,21 @@ class TestConfigHandling:
         ))
         assert main(["scan", "-c", str(profile)]) == 2
 
+    def test_both_db_and_km_rejected(self, tmp_path, capsys):
+        profile = tmp_path / "bad.profile"
+        profile.write_text(Path(TINY).read_text().replace("db = 0, 10, 21", "db = 0\nkm = 5"))
+        assert main(["scan", "-c", str(profile)]) == 2
+        err = capsys.readouterr().err
+        assert f"{profile}:11: exactly one of 'db' or 'km' must be given in [channel]" in err
+
+    def test_neither_db_nor_km_rejected(self, tmp_path, capsys):
+        # with no entry there is no line to name, so only the file is reported
+        profile = tmp_path / "bad.profile"
+        profile.write_text(Path(TINY).read_text().replace("db = 0, 10, 21\n", ""))
+        assert main(["scan", "-c", str(profile)]) == 2
+        err = capsys.readouterr().err
+        assert f"{profile}: exactly one of 'db' or 'km' must be given in [channel]" in err
+
     def test_override_tokens(self, tmp_path, capsys):
         assert main(["scan", "-c", TINY, "--channel.db=3", "--laser.mu=0"]) == 0
         rows = capsys.readouterr().out.splitlines()

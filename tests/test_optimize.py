@@ -11,10 +11,19 @@ from hybridqkd import (
     gllp_skr,
     hybrid_distribution,
     laser_beat_brightness,
+    optimize,
     optimize_mu_laser,
     qd_distribution,
     skr_scan,
     unconditional_advantage_brightness,
+)
+from hybridqkd.optimize import (
+    BRIGHTNESS_TOL,
+    DB_MAX,
+    DB_RESOLUTION,
+    OptimizationResult,
+    _brightness_boundary,
+    _last_true,
 )
 
 TABLE1_QD = QdSourceParams(0.0409, 0.012)
@@ -160,3 +169,115 @@ class TestSkrScan:
         mu_qd = 0.0409 + qd_distribution(TABLE1_QD).probs[2]
         assert points[0].mu_mixed == pytest.approx(mu_qd + mu, abs=1e-12)
         assert points[0].mix_ratio == pytest.approx(mu / (mu_qd + mu), abs=1e-12)
+
+
+def reference_bisection(pred, lo, hi, tol):
+    """The loop each search used to carry inline."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class Recorder:
+    """Step predicate x <= step that logs every argument it is asked about."""
+
+    def __init__(self, step):
+        self.step = step
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return x <= self.step
+
+
+class TestBisectionHelpers:
+    @pytest.mark.parametrize("step", [0.0, 1e-9, 0.123456, 0.5, 0.99995, 0.9999999])
+    def test_last_true_lands_just_past_the_step(self, step):
+        for tol in (BRIGHTNESS_TOL, 1e-7):
+            result = _last_true(lambda x: x <= step, 0.0, 1.0, tol)
+            assert step < result <= step + tol
+
+    def test_last_true_edges(self):
+        never = _last_true(lambda x: False, 2.0, 3.0, 1e-3)
+        assert 2.0 < never <= 2.0 + 1e-3
+        assert _last_true(lambda x: True, 2.0, 3.0, 1e-3) == 3.0
+
+    def test_brightness_boundary_edges(self):
+        assert _brightness_boundary(lambda b: False) == 0.0
+        assert _brightness_boundary(lambda b: True) == 1.0
+
+    @pytest.mark.parametrize("step", [0.3, 0.457, 0.9])
+    def test_brightness_boundary_resolution(self, step):
+        result = _brightness_boundary(lambda b: b <= step)
+        assert step < result <= step + BRIGHTNESS_TOL
+
+    @pytest.mark.parametrize("step", [-1.0, 0.2, 0.61803, 2.0])
+    def test_unconditional_asks_the_former_questions(self, monkeypatch, step):
+        seen = Recorder(step)
+        monkeypatch.setattr(
+            optimize, "_mixes", lambda qd, db, ch, det: db == 0.0 and seen(qd.brightness)
+        )
+        result = unconditional_advantage_brightness(0.01, IDEAL_DET, IDEAL_CH)
+        ref = Recorder(step)
+        if not ref(0.0):
+            expected = 0.0
+        elif ref(1.0):
+            expected = 1.0
+        else:
+            expected = reference_bisection(ref, 0.0, 1.0, BRIGHTNESS_TOL)
+        assert result == expected
+        assert seen.calls == ref.calls
+
+    @pytest.mark.parametrize("step", [-1.0, 0.2, 0.61803, 2.0])
+    def test_laser_beat_asks_the_former_questions(self, monkeypatch, step):
+        seen = []
+
+        def qd_only(qd, db, ch, det):
+            seen.append(qd.brightness)
+            return qd.brightness
+
+        monkeypatch.setattr(
+            optimize, "optimize_mu_laser",
+            lambda qd, db, ch, det: OptimizationResult(db, 0.0, step, 0.0, 1.0),
+        )
+        monkeypatch.setattr(optimize, "qd_only_skr", qd_only)
+        result = laser_beat_brightness(0.01, IDEAL_DET, IDEAL_CH)
+        asked = []
+
+        def qd_wins(b):
+            asked.append(b)
+            return b > step
+
+        if qd_wins(0.0):
+            expected = 0.0
+        elif not qd_wins(1.0):
+            expected = 1.0
+        else:
+            lo, hi = 0.0, 1.0
+            while hi - lo > BRIGHTNESS_TOL:
+                mid = 0.5 * (lo + hi)
+                if qd_wins(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            expected = hi
+        assert result == expected
+        assert seen == asked
+
+    @pytest.mark.parametrize("step", [-1.0, 12.7, 33.3, 70.0])
+    def test_crossover_asks_the_former_questions(self, monkeypatch, step):
+        seen = Recorder(step)
+        monkeypatch.setattr(optimize, "_mixes", lambda qd, db, ch, det: seen(db))
+        monkeypatch.setattr(optimize, "qd_only_skr", lambda qd, db, ch, det: 1.0)
+        result = crossover_attenuation(TABLE1_QD, TABLE1_CH, TABLE1_DET)
+        ref = Recorder(step)
+        if not ref(0.0) or ref(DB_MAX):
+            expected = None
+        else:
+            expected = reference_bisection(ref, 0.0, DB_MAX, DB_RESOLUTION)
+        assert result == expected
+        assert seen.calls == ref.calls

@@ -97,6 +97,14 @@ class TestQdDistribution:
             params = random_qd_params(rng)
             assert g2_of(qd_distribution(params)) == pytest.approx(params.g2, abs=1e-9)
 
+    # (1 - g2 b - sqrt(1 - 2 g2 b)) / g2 loses p2 ~ g2 b^2 / 2 to rounding of
+    # order 1e-16 / g2: below g2 ~ 1e-4 that error can exceed p2 and even b.
+    @pytest.mark.xfail(strict=True, reason="p2 cancels catastrophically at small g2")
+    @pytest.mark.parametrize("b, g2", [(2.8e-5, 1e-12), (0.1, 2e-12), (0.01, 1e-6)])
+    def test_small_g2_two_photon_weight(self, b, g2):
+        p2 = qd_distribution(QdSourceParams(b, g2)).probs[2]
+        assert p2 == pytest.approx(g2 * b * b / 2.0, rel=1e-3, abs=0.0)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             QdSourceParams(1.2, 0.01)
