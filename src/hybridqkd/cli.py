@@ -2,13 +2,16 @@
 
 Every command reads a profile (bundled name or path), applies any
 ``--section.key=value`` overrides, and emits CSV with a fixed column order.
-Exit codes: 0 success, 2 configuration error, 3 domain error from the engine.
+Exit codes: 0 success, 2 configuration error, 3 domain error from the engine,
+141 (128 + SIGPIPE, as the shell reports a writer killed by a closed pipe)
+when the reader of stdout stops early, as ``| head`` does; it prints nothing.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from .channel import db_to_km
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError
 from .montecarlo import SimConfig, empirical_skr, simulate
-from .optimize import MU_TOL, advantage_report, optimize_mu_laser, qd_only_skr, skr_scan
+from .optimize import advantage_report, optimize_mu_laser, qd_only_skr, skr_scan
 from .photon_stats import QdSourceParams, hybrid_distribution, mean_photon_number, qd_distribution
 from .security import gllp_skr
 
@@ -87,7 +90,7 @@ def _optimize_rows(cfg: RunConfig, db_grid) -> list[tuple]:
             (
                 db, db_to_km(db, cfg.channel.fiber_alpha), best.mu_laser_opt, best.mix_ratio,
                 best.purity_at_opt, best.skr_opt, qd_only, laser_best.skr_opt,
-                best.mu_laser_opt < MU_TOL,
+                best.mu_laser_opt == 0.0,
             )
         )
     return rows
@@ -350,16 +353,22 @@ def main(argv=None) -> int:
         if args.command == "plotscript":
             if extras:
                 raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
-            return cmd_plotscript(args)
-        overrides = _parse_override_tokens(extras)
-        cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg, args)
+            code = cmd_plotscript(args)
+        else:
+            cfg = load_config(args.config, _parse_override_tokens(extras))
+            code = _COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Point stdout at devnull so that the final flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

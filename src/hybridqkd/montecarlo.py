@@ -91,10 +91,12 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.nd
     while last < size - 1:
         mean = (size - 1 - last) * p
         count = int(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 1.0)
-        positions = last + np.cumsum(rng.geometric(p, count))
+        positions = rng.geometric(p, count)
+        np.cumsum(positions, out=positions)
+        positions += last
         chunks.append(positions)
         last = int(positions[-1])
-    positions = np.concatenate(chunks)
+    positions = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return positions[: np.searchsorted(positions, size)]
 
 
@@ -112,7 +114,8 @@ def _photon_hits(
     emitting = _bernoulli_positions(rng, p_emit, size)
     cdf = tail / p_emit if p_emit > 0.0 else tail
     cdf[-1] = 1.0  # guard float shortfall so sampling never runs past the vector
-    k = np.searchsorted(cdf, rng.random(emitting.size), side="right") + 1
+    k = np.searchsorted(cdf, rng.random(emitting.size), side="right")
+    k += 1
     if eta >= 1.0:
         arrived = np.ones(k.size, dtype=bool)
     elif eta > 0.0:
@@ -122,26 +125,35 @@ def _photon_hits(
     return emitting, k, arrived
 
 
+def _block_counts(rng: np.random.Generator, config: SimConfig, size: int) -> tuple[int, int, int]:
+    """Clicks, sifted clicks and errors among one block of ``size`` pulses.
+
+    A function of its own, so that none of the block's arrays outlives it.
+    """
+    det = config.det
+    emitting, _, arrived = _photon_hits(rng, config.dist.probs, config.eta, size)
+    hits = emitting[arrived]
+    dark = _bernoulli_positions(rng, det.y0, size)
+    if hits.size and dark.size:
+        at = np.minimum(np.searchsorted(hits, dark), hits.size - 1)
+        dark = dark[hits[at] != dark]  # the photon decides a coincident click
+    # one uniform per click: sifted when w < 1/2, an error when w < err_p / 2
+    w = rng.random(hits.size + dark.size)
+    errors = int(np.count_nonzero(w[: hits.size] < 0.5 * det.e_d))
+    errors += int(np.count_nonzero(w[hits.size :] < 0.5 * det.e0))
+    return w.size, int(np.count_nonzero(w < 0.5)), errors
+
+
 def simulate(config: SimConfig) -> SimTally:
     """Run the pulse-level simulation and tally clicks, sifted events, errors."""
-    det = config.det
     n_clicks = n_sifted = n_errors = 0
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     for block in range(n_blocks):
         size = min(BLOCK_SIZE, config.n_pulses - block * BLOCK_SIZE)
-        rng = _block_rng(config.seed, block)
-        emitting, _, arrived = _photon_hits(rng, config.dist.probs, config.eta, size)
-        hits = emitting[arrived]
-        dark = _bernoulli_positions(rng, det.y0, size)
-        if hits.size and dark.size:
-            at = np.minimum(np.searchsorted(hits, dark), hits.size - 1)
-            dark = dark[hits[at] != dark]  # the photon decides a coincident click
-        # one uniform per click: sifted when w < 1/2, an error when w < err_p / 2
-        w = rng.random(hits.size + dark.size)
-        n_clicks += w.size
-        n_sifted += int(np.count_nonzero(w < 0.5))
-        n_errors += int(np.count_nonzero(w[: hits.size] < 0.5 * det.e_d))
-        n_errors += int(np.count_nonzero(w[hits.size :] < 0.5 * det.e0))
+        clicks, sifted, errors = _block_counts(_block_rng(config.seed, block), config, size)
+        n_clicks += clicks
+        n_sifted += sifted
+        n_errors += errors
     n = config.n_pulses
     q_hat = n_clicks / n
     stderr_q = math.sqrt(q_hat * (1.0 - q_hat) / n)

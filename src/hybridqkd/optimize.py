@@ -1,41 +1,34 @@
 """SKR maximization over the laser admixture and advantage-regime boundaries.
 
-Grid evaluations are independent; they run serially in index order so that
-every sweep and bisection is deterministic.
+Every term of the GLLP bound is a closed form in the laser mean photon number
+mu, and so is its slope; the optimal admixture is the root of that slope,
+found by bisection. Evaluations run serially, so every sweep and bisection is
+deterministic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelModel, DetectorModel
 from .errors import DomainError
 from .photon_stats import (
     MU_MAX,
+    PhotonNumberDistribution,
     QdSourceParams,
     g2_of,
     hybrid_distribution,
     mean_photon_number,
     qd_distribution,
 )
-from .security import SkrReport, gllp_skr
+from .security import SkrReport, _skr_rising, gllp_skr
 
-# Resolution of the laser mean photon number; MU_MAX bounds its search.
-MU_TOL = 1e-4
-# Relative SKR improvements below this count as ties, resolved toward purity.
-SKR_REL_TOL = 1e-6
+# Resolution of the optimal laser mean photon number; MU_MAX bounds its search.
+MU_RESOLUTION = 1e-15
 
 DB_MAX = 60.0
 DB_RESOLUTION = 0.05
 BRIGHTNESS_TOL = 1e-4
-
-# Coarse grid, scanned before golden-section refinement: the objective is
-# empirically unimodal but unproven, so the grid protects against local optima.
-# geomspace ends exactly at MU_MAX, which distributions accept.
-_MU_GRID = np.concatenate(([0.0], np.geomspace(MU_TOL, MU_MAX, 64)))
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,26 +64,17 @@ class ScanPoint:
     report: SkrReport
 
 
-def _clamped_skr(report: SkrReport) -> float:
+def _clamped_skr(
+    dist: PhotonNumberDistribution, channel: ChannelModel, det: DetectorModel
+) -> float:
+    """SKR bound clamped to 0 where it is meaningless or where there are no clicks."""
+    try:
+        report = gllp_skr(dist, channel, det)
+    except DomainError:  # zero total gain: nothing to distill
+        return 0.0
     if report.clamped:
         return 0.0
     return max(report.skr_per_pulse, 0.0)
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:  # ties move the bracket toward smaller mu
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
 
 
 def optimize_mu_laser(
@@ -99,32 +83,27 @@ def optimize_mu_laser(
     channel: ChannelModel,
     det: DetectorModel,
 ) -> OptimizationResult:
-    """Maximize the SKR over the laser mean photon number in [0, 5].
+    """Maximize the SKR over the laser mean photon number in [0, MU_MAX].
 
-    Ties (including the no-key regime where every admixture scores zero)
-    resolve toward mu_laser = 0, preferring single-photon purity.
+    The clamped SKR is unimodal in mu (tests/test_search_properties.py checks
+    this), so its maximum is where it stops rising, found by bisection to
+    MU_RESOLUTION. Ties (including the no-key regime where every admixture
+    scores zero) resolve toward mu_laser = 0, preferring single-photon
+    purity: mu > 0 is kept only when it strictly beats mu = 0.
     """
     ch = channel.with_attenuation(attenuation_db)
     base = qd_distribution(qd)
+    eta = ch.transmissivity
 
-    def objective(mu: float) -> float:
-        try:
-            return _clamped_skr(gllp_skr(hybrid_distribution(base, mu), ch, det))
-        except DomainError:  # zero total gain: nothing to distill
-            return 0.0
+    def rising(mu: float) -> bool:
+        return _skr_rising(hybrid_distribution(base, mu), eta, det)
 
-    values = np.array([objective(mu) for mu in _MU_GRID])
-    best = int(np.argmax(values))  # first occurrence: smallest mu on ties
-    mu_opt, skr_opt = float(_MU_GRID[best]), float(values[best])
-    if skr_opt > 0.0 and best > 0:
-        lo = float(_MU_GRID[best - 1])
-        hi = float(_MU_GRID[best + 1]) if best + 1 < _MU_GRID.size else MU_MAX
-        mu_ref = _golden_section_max(objective, lo, hi, 0.25 * MU_TOL)
-        skr_ref = objective(mu_ref)
-        if skr_ref > skr_opt:
-            mu_opt, skr_opt = mu_ref, skr_ref
-    if skr_opt - values[0] <= SKR_REL_TOL * max(skr_opt, float(values[0])):
-        mu_opt, skr_opt = 0.0, float(values[0])
+    mu_opt, skr_opt = 0.0, _clamped_skr(base, ch, det)
+    if rising(0.0):
+        mu = _last_true(rising, 0.0, MU_MAX, MU_RESOLUTION)
+        skr = _clamped_skr(hybrid_distribution(base, mu), ch, det)
+        if skr > skr_opt:
+            mu_opt, skr_opt = mu, skr
 
     mixed = hybrid_distribution(base, mu_opt)
     mu_qd = mean_photon_number(base)
@@ -136,15 +115,12 @@ def optimize_mu_laser(
 
 def qd_only_skr(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> float:
     """Clamped SKR of the bare quantum-dot source; 0 when it gives no clicks."""
-    try:
-        return _clamped_skr(gllp_skr(qd_distribution(qd), channel.with_attenuation(db), det))
-    except DomainError:  # dark source with no dark counts: no clicks at all
-        return 0.0
+    return _clamped_skr(qd_distribution(qd), channel.with_attenuation(db), det)
 
 
 def _mixes(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> bool:
     """Whether mixing in laser light improves the SKR at this attenuation."""
-    return optimize_mu_laser(qd, db, channel, det).mu_laser_opt >= MU_TOL
+    return optimize_mu_laser(qd, db, channel, det).mu_laser_opt > 0.0
 
 
 def _last_true(pred, lo: float, hi: float, tol: float) -> float:

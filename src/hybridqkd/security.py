@@ -7,7 +7,8 @@ e_{k<2} = E_tot Q_tot / Q_{k<2}. The bound is
 
     SKR >= 1/2 ( Q_{k<2} (1 - H2(e_{k<2})) - f_EC Q_tot H2(E_tot) )
 
-with the 1/2 accounting for basis sifting.
+with the 1/2 accounting for basis sifting. Each term is a closed form in the
+laser mean photon number, and so is the slope that the optimizer bisects on.
 """
 from __future__ import annotations
 
@@ -84,6 +85,46 @@ def _bound_terms(
     )
     a_fraction = min(max(q_low / q_tot, 0.0), 1.0)
     return skr, a_fraction, clamped
+
+
+def _entropy_slope(x: float, dx: float) -> float:
+    """Change of H2(x) for a change dx of x, with dH2/dx = log2((1 - x) / x);
+    x below the cutoff of ``binary_entropy``, an underflow, counts as at it."""
+    return dx * math.log2((1.0 - x) / max(x, _H2_LO))
+
+
+def _skr_rising(dist: PhotonNumberDistribution, eta: float, det: DetectorModel) -> bool:
+    """Whether the clamped SKR still rises as the laser mean photon number grows.
+
+    The arrival probability A has dA/dmu = eta (1 - A), so Q_tot has slope
+    eta (1 - Q_tot), and the multiphoton probability has
+    dp_m/dmu = e^(-mu) (f1 + f0 mu). Where the bound is clamped or not
+    positive, the key is nearer when the single-photon error rate e_low
+    falls; elsewhere the predicate is the sign of dSKR/dmu.
+    """
+    try:
+        q_tot, e_tot = totals(dist, eta, det)
+    except DomainError:  # no clicks yet: laser light brings the first
+        return True
+    p_m = multiphoton_probability(dist)
+    q_low = q_tot - p_m
+    if q_low <= 0.0:
+        return False
+    skr, _, clamped = _bound_terms(q_tot, e_tot, p_m, det.f_ec)
+    d_q_tot = eta * (1.0 - q_tot)
+    d_errors = det.e_d * d_q_tot / (1.0 - det.y0)  # of E_tot Q_tot = e0 y0 + e_d A
+    f0, f1 = dist.f[:2].tolist()
+    d_q_low = d_q_tot - math.exp(-dist.mu) * (f1 + f0 * dist.mu)
+    e_low = e_tot * q_tot / q_low
+    d_e_low = (d_errors - e_low * d_q_low) / q_low
+    if clamped or skr <= 0.0:
+        return d_e_low < 0.0
+    d_e_tot = (d_errors - e_tot * d_q_tot) / q_tot
+    slope = (
+        d_q_low * (1.0 - binary_entropy(e_low)) - q_low * _entropy_slope(e_low, d_e_low)
+        - det.f_ec * (d_q_tot * binary_entropy(e_tot) + q_tot * _entropy_slope(e_tot, d_e_tot))
+    )
+    return slope > 0.0
 
 
 def gllp_skr(

@@ -19,6 +19,25 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["threshold", "-c", "ideal", "--threshold.brightness=0", "--threshold.db=0"],
+    ["figures", "-c", TINY, "--channel.db=0", "--threshold.brightness=0"],
+])
+def test_closed_stdout_pipe_exits_quietly(command, tmp_path):
+    # The reader closes the pipe before the command writes, as `| head` does
+    # once it has its lines.
+    if command[0] == "figures":
+        command = command + ["--outdir", str(tmp_path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hybridqkd.cli", *command],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
 class TestScan:
     def test_golden_file(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -170,7 +189,7 @@ class TestOptimizeCommand:
             direct.skr_opt, rel=1e-6
         )
         assert values[header.index("crossover")] == (
-            "true" if direct.mu_laser_opt < 1e-4 else "false"
+            "true" if direct.mu_laser_opt == 0.0 else "false"
         )
 
 

@@ -1,14 +1,14 @@
 """Properties that the optimizer and the three advantage searches rely on.
 
-``optimize_mu_laser`` scans ``_MU_GRID`` and refines around the best point,
-which finds the optimum only if the clamped SKR is unimodal in mu, and it
-breaks ties toward mu = 0. The searches bisect predicates that must be
-monotone: "mixing helps" must fail beyond the crossover attenuation, and
-beyond the unconditional brightness; the bare-dot SKR that the laser-beat
-search compares against the best laser must not fall as the brightness
-rises, which holds for sources as built but not everywhere. The
-unconditional search asks "mixing helps" at 0 dB only, which is exact when
-mixing that helps at some loss also helps at less.
+``optimize_mu_laser`` bisects on the sign of the SKR slope in mu, which
+finds the optimum only if the clamped SKR is unimodal in mu, and it breaks
+ties toward mu = 0; its result must match a dense grid of admixtures. The
+searches bisect predicates that must be monotone: "mixing helps" must fail
+beyond the crossover attenuation, and beyond the unconditional brightness;
+the bare-dot SKR that the laser-beat search compares against the best laser
+must not fall as the brightness rises, which holds for sources as built but
+not everywhere. The unconditional search asks "mixing helps" at 0 dB only,
+which is exact when mixing that helps at some loss also helps at less.
 """
 import numpy as np
 import pytest
@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from hybridqkd import ChannelModel, DetectorModel, QdSourceParams, optimize
 from hybridqkd.optimize import (
     BRIGHTNESS_TOL,
-    MU_TOL,
-    _MU_GRID,
     _clamped_skr,
     _mixes,
     laser_beat_brightness,
@@ -27,9 +25,8 @@ from hybridqkd.optimize import (
     qd_only_skr,
     unconditional_advantage_brightness,
 )
-from hybridqkd.errors import DomainError
 from hybridqkd.photon_stats import MU_MAX, hybrid_distribution, qd_distribution
-from hybridqkd.security import SkrReport, gllp_skr
+from hybridqkd.security import SkrReport
 
 brightnesses = st.floats(0.0, 1.0)
 # qd_distribution computes p2 ~ g2 b^2 / 2 with an absolute rounding error
@@ -50,10 +47,7 @@ fractions = st.floats(0.0, 1.0)
 
 
 def clamped_skr(qd, mu, ch, det):
-    try:
-        return _clamped_skr(gllp_skr(hybrid_distribution(qd_distribution(qd), mu), ch, det))
-    except DomainError:
-        return 0.0
+    return _clamped_skr(hybrid_distribution(qd_distribution(qd), mu), ch, det)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -115,15 +109,22 @@ def test_laser_beat_brightness_finds_a_window_of_wins():
     assert laser_beat_brightness(0.1, det, ch) <= 0.5
 
 
+# Admixtures from 1e-9 up: the optimum can lie far below the 1e-4 that
+# the unimodality test starts at, as for the bare laser at high loss.
+DENSE_MU = np.concatenate(([0.0], np.geomspace(1e-9, MU_MAX, 3000)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(brightnesses, g2s, setups, st.floats(40.0, 60.0))
-def test_ties_on_the_whole_grid_give_mu_zero(b, g2, setup, db):
+@given(brightnesses, g2s, setups, st.floats(0.0, 60.0))
+def test_optimum_beats_a_dense_grid_and_ties_give_mu_zero(b, g2, setup, db):
     ch, det = setup
     qd = QdSourceParams(b, g2)
+    result = optimize_mu_laser(qd, db, ch, det)
     ch = ch.with_attenuation(db)
-    values = {clamped_skr(qd, mu, ch, det) for mu in _MU_GRID}
-    assume(len(values) == 1)
-    assert optimize_mu_laser(qd, db, ch, det).mu_laser_opt == 0.0
+    best = max(clamped_skr(qd, mu, ch, det) for mu in DENSE_MU)
+    assert result.skr_opt >= (1.0 - 1e-12) * best
+    if result.skr_opt == 0.0:
+        assert result.mu_laser_opt == 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -139,13 +140,17 @@ def test_constant_objective_gives_mu_zero(value):
     assert result.skr_opt == value
 
 
+# Smallest nonzero admixture of the unimodality grid.
+UNIMODAL_MU_MIN = 1e-4
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(brightnesses, g2s, setups, attenuations)
 def test_clamped_skr_is_unimodal_in_mu(b, g2, setup, db):
     ch, det = setup
     qd = QdSourceParams(b, g2)
     ch = ch.with_attenuation(db)
-    mus = np.concatenate(([0.0], np.geomspace(MU_TOL, MU_MAX, 400)))
+    mus = np.concatenate(([0.0], np.geomspace(UNIMODAL_MU_MIN, MU_MAX, 400)))
     skr = np.array([clamped_skr(qd, mu, ch, det) for mu in mus])
     peak = int(np.argmax(skr))
     slack = 1e-12 * skr[peak]  # rounding on flat stretches
@@ -157,10 +162,7 @@ def _mixing_improves_somewhere(brightness, g2, channel, det):
     """The unconditional search's former predicate: mixing helps at one of
     four probe attenuations, not only at 0 dB."""
     qd = QdSourceParams(brightness, g2)
-    return any(
-        optimize_mu_laser(qd, db, channel, det).mu_laser_opt >= MU_TOL
-        for db in (0.0, 0.5, 1.0, 2.0)
-    )
+    return any(_mixes(qd, db, channel, det) for db in (0.0, 0.5, 1.0, 2.0))
 
 
 def four_probe_unconditional_brightness(g2, det, channel):
