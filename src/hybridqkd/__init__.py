@@ -19,10 +19,8 @@ from .estimate import (
 )
 from .montecarlo import SimConfig, SimTally, empirical_skr, simulate
 from .optimize import (
-    AdvantageReport,
     OptimizationResult,
     ScanPoint,
-    advantage_report,
     crossover_attenuation,
     laser_beat_brightness,
     optimize_mu_laser,
@@ -37,6 +35,7 @@ from .photon_stats import (
     g2_of,
     hybrid_distribution,
     mean_photon_number,
+    multiphoton_probability,
     poisson_distribution,
     qd_distribution,
 )
@@ -44,14 +43,12 @@ from .security import (
     SkrReport,
     binary_entropy,
     gllp_skr,
-    multiphoton_probability,
     skr_from_observables,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageReport",
     "ChannelModel",
     "ClickObservables",
     "ConfigError",
@@ -64,7 +61,6 @@ __all__ = [
     "SimConfig",
     "SimTally",
     "SkrReport",
-    "advantage_report",
     "apply_loss",
     "binary_entropy",
     "brightness_after_loss",

@@ -2,9 +2,11 @@
 
 Every command reads a profile (bundled name or path), applies any
 ``--section.key=value`` overrides, and emits CSV with a fixed column order.
-Exit codes: 0 success, 2 configuration error, 3 domain error from the engine,
-141 (128 + SIGPIPE, as the shell reports a writer killed by a closed pipe)
-when the reader of stdout stops early, as ``| head`` does; it prints nothing.
+Exit codes: 0 success, 2 configuration error or a file that cannot be read
+or written (missing, a directory, not UTF-8, a CSV without header), 3 domain
+error from the engine, 141 (128 + SIGPIPE, as the shell reports a writer
+killed by a closed pipe) when the reader of stdout stops early, as ``| head``
+does; it prints nothing.
 """
 from __future__ import annotations
 
@@ -19,7 +21,14 @@ from .channel import db_to_km
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError
 from .montecarlo import SimConfig, empirical_skr, simulate
-from .optimize import advantage_report, optimize_mu_laser, qd_only_skr, skr_scan
+from .optimize import (
+    crossover_attenuation,
+    laser_beat_brightness,
+    optimize_mu_laser,
+    qd_only_skr,
+    skr_scan,
+    unconditional_advantage_brightness,
+)
 from .photon_stats import QdSourceParams, hybrid_distribution, mean_photon_number, qd_distribution
 from .security import gllp_skr
 
@@ -119,19 +128,18 @@ def _optimum_rows(cfg: RunConfig, cases, db_grid) -> list[tuple]:
 
 def threshold_grid_rows(cfg: RunConfig, brightnesses, db_grid) -> list[tuple]:
     """Optimal admixture per brightness and attenuation; brightness 0 is laser-only."""
-    cases = (
-        (b, QdSourceParams(b, cfg.source.g2 if b > 0.0 else 0.0), cfg.detector)
-        for b in brightnesses
-    )
+    cases = ((b, QdSourceParams(b, cfg.source.g2), cfg.detector) for b in brightnesses)
     return _optimum_rows(cfg, cases, db_grid)
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
-    report = advantage_report(cfg.source, cfg.channel, cfg.detector)
-    crossover = "none" if report.crossover_db is None else _format_value(report.crossover_db)
+    crossover_db = crossover_attenuation(cfg.source, cfg.channel, cfg.detector)
+    unconditional = unconditional_advantage_brightness(cfg.source.g2, cfg.detector, cfg.channel)
+    laser_beat = laser_beat_brightness(cfg.source.g2, cfg.detector, cfg.channel)
+    crossover = "none" if crossover_db is None else _format_value(crossover_db)
     print(f"crossover_db = {crossover}")
-    print(f"unconditional_advantage_brightness = {_format_value(report.unconditional_brightness)}")
-    print(f"laser_beat_brightness = {_format_value(report.laser_beat_brightness)}")
+    print(f"unconditional_advantage_brightness = {_format_value(unconditional)}")
+    print(f"laser_beat_brightness = {_format_value(laser_beat)}")
     rows = threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db)
     out = args.out or cfg.output
     if out is None:
@@ -271,9 +279,10 @@ def cmd_figures(cfg: RunConfig, args) -> int:
 
 def cmd_plotscript(args) -> int:
     csv_path = Path(args.csv)
-    if not csv_path.exists():
-        raise ConfigError(f"CSV file not found: {args.csv}")
-    header = csv_path.read_text(encoding="utf-8").splitlines()[0].split(",")
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ConfigError(f"CSV file has no header line: {args.csv}")
+    header = lines[0].split(",")
     for name in (args.x, args.y):
         if name not in header:
             raise ConfigError(f"column '{name}' not in {args.csv} (has: {', '.join(header)})")
@@ -369,6 +378,9 @@ def main(argv=None) -> int:
         # Point stdout at devnull so that the final flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ import numpy as np
 
 from .channel import DetectorModel
 from .errors import DomainError
-from .photon_stats import PhotonNumberDistribution
-from .security import _bound_terms, multiphoton_probability
+from .photon_stats import PhotonNumberDistribution, multiphoton_probability
+from .security import _bound_terms
 
 BLOCK_SIZE = 1 << 20
 

@@ -43,15 +43,6 @@ class OptimizationResult:
 
 
 @dataclass(frozen=True)
-class AdvantageReport:
-    """Boundaries of the single-photon advantage regimes."""
-
-    crossover_db: float | None
-    unconditional_brightness: float
-    laser_beat_brightness: float
-
-
-@dataclass(frozen=True)
 class ScanPoint:
     """One (attenuation, laser admixture) cell of a sweep."""
 
@@ -194,16 +185,6 @@ def laser_beat_brightness(
         return qd_only_skr(QdSourceParams(brightness, g2), 0.0, channel, det) > laser_best
 
     return _brightness_boundary(lambda brightness: not qd_wins(brightness))
-
-
-def advantage_report(
-    qd: QdSourceParams, channel: ChannelModel, det: DetectorModel
-) -> AdvantageReport:
-    return AdvantageReport(
-        crossover_db=crossover_attenuation(qd, channel, det),
-        unconditional_brightness=unconditional_advantage_brightness(qd.g2, det, channel),
-        laser_beat_brightness=laser_beat_brightness(qd.g2, det, channel),
-    )
 
 
 def skr_scan(

@@ -88,6 +88,30 @@ class PhotonNumberDistribution:
         return probs
 
 
+def single_photon_probability(dist: PhotonNumberDistribution) -> float:
+    """Probability p1 = e^(-mu) (f1 + f0 mu) of emitting exactly one photon."""
+    f0, f1 = dist.f[:2].tolist()
+    return math.exp(-dist.mu) * (f1 + f0 * dist.mu)
+
+
+def multiphoton_probability(dist: PhotonNumberDistribution) -> float:
+    """Probability p_m = sum_{k>=2} p_k = 1 - e^(-mu) (f0 + f1 + f0 mu) of
+    emitting more than one photon, for the Fock part f convolved with
+    Poisson(mu), summed as sum_{k>=2} f_k + f1 (1 - e^(-mu)) + f0 P(N >= 2).
+    """
+    mu = dist.mu
+    # P(N >= 2) for N ~ Poisson(mu) as e^(-mu) sum_{k>=2} mu^k / k!; the form
+    # 1 - e^(-mu) (1 + mu) cancels to a relative error of 1e-16 / mu.
+    term = tail = 0.5 * mu * mu
+    k = 2
+    while term > 1e-17 * tail:
+        k += 1
+        term *= mu / k
+        tail += term
+    f0, f1 = dist.f[:2].tolist()
+    return float(dist.f[2:].sum()) - f1 * math.expm1(-mu) + f0 * tail * math.exp(-mu)
+
+
 @dataclass(frozen=True)
 class QdSourceParams:
     """Quantum-dot source: collected brightness and g2(0) at Alice's output."""

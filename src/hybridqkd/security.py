@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 from .channel import ChannelModel, DetectorModel, totals
 from .errors import DomainError
-from .photon_stats import PhotonNumberDistribution
+from .photon_stats import (
+    PhotonNumberDistribution,
+    multiphoton_probability,
+    single_photon_probability,
+)
 
 # Explicit 0 log 0 branches; the upper cutoff keeps log2(1 - x) finite.
 _H2_LO = 1e-300
@@ -52,24 +56,6 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def multiphoton_probability(dist: PhotonNumberDistribution) -> float:
-    """Probability p_m = sum_{k>=2} p_k = 1 - e^(-mu) (f0 + f1 + f0 mu) of
-    emitting more than one photon, for the Fock part f convolved with
-    Poisson(mu), summed as sum_{k>=2} f_k + f1 (1 - e^(-mu)) + f0 P(N >= 2).
-    """
-    mu = dist.mu
-    # P(N >= 2) for N ~ Poisson(mu) as e^(-mu) sum_{k>=2} mu^k / k!; the form
-    # 1 - e^(-mu) (1 + mu) cancels to a relative error of 1e-16 / mu.
-    term = tail = 0.5 * mu * mu
-    k = 2
-    while term > 1e-17 * tail:
-        k += 1
-        term *= mu / k
-        tail += term
-    f0, f1 = dist.f[:2].tolist()
-    return float(dist.f[2:].sum()) - f1 * math.expm1(-mu) + f0 * tail * math.exp(-mu)
-
-
 def _bound_terms(
     q_tot: float, e_tot: float, p_m: float, f_ec: float
 ) -> tuple[float, float, bool]:
@@ -97,10 +83,11 @@ def _skr_rising(dist: PhotonNumberDistribution, eta: float, det: DetectorModel) 
     """Whether the clamped SKR still rises as the laser mean photon number grows.
 
     The arrival probability A has dA/dmu = eta (1 - A), so Q_tot has slope
-    eta (1 - Q_tot), and the multiphoton probability has
-    dp_m/dmu = e^(-mu) (f1 + f0 mu). Where the bound is clamped or not
-    positive, the key is nearer when the single-photon error rate e_low
-    falls; elsewhere the predicate is the sign of dSKR/dmu.
+    eta (1 - Q_tot). Convolution with Poisson(mu) gives dp_k/dmu =
+    p_(k-1) - p_k, so the multiphoton probability has the telescoped slope
+    dp_m/dmu = p1, the single-photon probability. Where the bound is clamped
+    or not positive, the key is nearer when the single-photon error rate
+    e_low falls; elsewhere the predicate is the sign of dSKR/dmu.
     """
     try:
         q_tot, e_tot = totals(dist, eta, det)
@@ -113,8 +100,7 @@ def _skr_rising(dist: PhotonNumberDistribution, eta: float, det: DetectorModel) 
     skr, _, clamped = _bound_terms(q_tot, e_tot, p_m, det.f_ec)
     d_q_tot = eta * (1.0 - q_tot)
     d_errors = det.e_d * d_q_tot / (1.0 - det.y0)  # of E_tot Q_tot = e0 y0 + e_d A
-    f0, f1 = dist.f[:2].tolist()
-    d_q_low = d_q_tot - math.exp(-dist.mu) * (f1 + f0 * dist.mu)
+    d_q_low = d_q_tot - single_photon_probability(dist)  # dp_m/dmu = p1
     e_low = e_tot * q_tot / q_low
     d_e_low = (d_errors - e_low * d_q_low) / q_low
     if clamped or skr <= 0.0:

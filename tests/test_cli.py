@@ -38,6 +38,25 @@ def test_closed_stdout_pipe_exits_quietly(command, tmp_path):
     assert stderr == b""
 
 
+@pytest.mark.parametrize("case", [
+    "unwritable_out", "profile_is_directory", "outdir_is_file", "empty_csv", "profile_not_utf8",
+])
+def test_unusable_file_is_error_not_traceback(case, tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    bad_profile = tmp_path / "latin1.profile"
+    bad_profile.write_bytes(Path(TINY).read_bytes() + "# \xb5\n".encode("latin-1"))
+    argv = {
+        "unwritable_out": ["scan", "-c", TINY, "-o", str(tmp_path / "missing" / "x.csv")],
+        "profile_is_directory": ["scan", "-c", str(tmp_path)],
+        "outdir_is_file": ["figures", "-c", TINY, "--outdir", str(a_file)],
+        "empty_csv": ["plotscript", str(a_file)],
+        "profile_not_utf8": ["scan", "-c", str(bad_profile)],
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestScan:
     def test_golden_file(self, tmp_path):
         out = tmp_path / "scan.csv"

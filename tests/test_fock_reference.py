@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hybridqkd import (
     DetectorModel,
     DomainError,
+    PhotonNumberDistribution,
     QdSourceParams,
     apply_loss,
     g2_of,
@@ -24,13 +25,15 @@ from hybridqkd import (
     qd_distribution,
     totals,
 )
-from hybridqkd.photon_stats import MU_MAX, POISSON_TAIL
+from hybridqkd.photon_stats import MU_MAX, POISSON_TAIL, single_photon_probability
 
 REL = 1e-12
 # The reference vector cuts its Poisson tail at mass 1e-13, but never below
 # 20 photons; weighted by k(k - 1), that tail moves its g2 by up to 6.1e-12
 # relative (at mu = 2.32, where the 20-photon floor binds).
 REL_G2 = 1e-11
+# Step of the central difference in mu.
+H = 1e-5
 DET = DetectorModel(e_d=0.008, y0=196 / 81.96e6)
 
 sources = st.builds(
@@ -68,6 +71,23 @@ def test_totals(dist, eta):
 @given(sources)
 def test_multiphoton_probability(dist):
     assert multiphoton_probability(dist) == pytest.approx(dist.probs[2:].sum(), rel=REL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources)
+def test_single_photon_probability(dist):
+    assert single_photon_probability(dist) == pytest.approx(dist.probs[1], rel=REL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources)
+def test_multiphoton_slope_is_single_photon_probability(dist):
+    # dp_m/dmu = p1, which the optimizer's closed-form slope relies on. A
+    # central difference with step H is good to about H^2 + 1e-16 / H.
+    mu = min(max(dist.mu, H), MU_MAX - H)
+    p_m = [multiphoton_probability(PhotonNumberDistribution(dist.f, m)) for m in (mu - H, mu + H)]
+    p1 = single_photon_probability(PhotonNumberDistribution(dist.f, mu))
+    assert (p_m[1] - p_m[0]) / (2.0 * H) == pytest.approx(p1, rel=1e-6, abs=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
