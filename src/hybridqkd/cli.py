@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .channel import db_to_km
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_text
 from .errors import ConfigError, DomainError
 from .montecarlo import SimConfig, empirical_skr, simulate
 from .optimize import (
@@ -279,7 +279,7 @@ def cmd_figures(cfg: RunConfig, args) -> int:
 
 def cmd_plotscript(args) -> int:
     csv_path = Path(args.csv)
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(csv_path).splitlines()
     if not lines:
         raise ConfigError(f"CSV file has no header line: {args.csv}")
     header = lines[0].split(",")
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so that the final flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

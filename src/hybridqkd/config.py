@@ -119,6 +119,8 @@ def apply_overrides(raw: RawConfig, overrides: dict[tuple[str, str], str]):
     for (section, key), value in overrides.items():
         if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown override --{section}.{key}")
+        if not value.strip():
+            raise ConfigError(f"empty value for '{key}'", origin=f"--{section}.{key}")
         raw.set(section, key, value, None, f"--{section}.{key}")
 
 
@@ -286,18 +288,26 @@ def build_run_config(raw: RawConfig) -> RunConfig:
     )
 
 
+def read_text(path: Path) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8: {exc.reason} at byte {exc.start}", origin=str(path)) from None
+
+
 def find_profile(name_or_path: str) -> tuple[str, str]:
     """Resolve a profile to (text, origin)."""
     path = Path(name_or_path)
     if path.suffix == ".profile" or path.exists():
         if not path.exists():
             raise ConfigError(f"profile file not found: {name_or_path}")
-        return path.read_text(encoding="utf-8"), str(path)
+        return read_text(path), str(path)
     env_dir = os.environ.get(PROFILE_DIR_ENV)
     if env_dir:
         candidate = Path(env_dir) / f"{name_or_path}.profile"
         if candidate.exists():
-            return candidate.read_text(encoding="utf-8"), str(candidate)
+            return read_text(candidate), str(candidate)
     bundled = importlib.resources.files("hybridqkd").joinpath(
         "profiles", f"{name_or_path}.profile"
     )

@@ -1,9 +1,9 @@
 """SKR maximization over the laser admixture and advantage-regime boundaries.
 
 Every term of the GLLP bound is a closed form in the laser mean photon number
-mu, and so is its slope; the optimal admixture is the root of that slope,
-found by bisection. Evaluations run serially, so every sweep and bisection is
-deterministic.
+mu, and so is its slope. The optimal admixture and the advantage thresholds
+are roots, bisected down to adjacent floats. Evaluations run serially, so
+every sweep and bisection is deterministic.
 """
 from __future__ import annotations
 
@@ -23,12 +23,7 @@ from .photon_stats import (
 )
 from .security import SkrReport, _skr_rising, gllp_skr
 
-# Resolution of the optimal laser mean photon number; MU_MAX bounds its search.
-MU_RESOLUTION = 1e-15
-
 DB_MAX = 60.0
-DB_RESOLUTION = 0.05
-BRIGHTNESS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ def optimize_mu_laser(
 
     The clamped SKR is unimodal in mu (tests/test_search_properties.py checks
     this), so its maximum is where it stops rising, found by bisection to
-    MU_RESOLUTION. Ties (including the no-key regime where every admixture
+    adjacent floats. Ties (including the no-key regime where every admixture
     scores zero) resolve toward mu_laser = 0, preferring single-photon
     purity: mu > 0 is kept only when it strictly beats mu = 0.
     """
@@ -91,7 +86,7 @@ def optimize_mu_laser(
 
     mu_opt, skr_opt = 0.0, _clamped_skr(base, ch, det)
     if rising(0.0):
-        mu = _last_true(rising, 0.0, MU_MAX, MU_RESOLUTION)
+        mu = _last_true(rising, 0.0, MU_MAX)
         skr = _clamped_skr(hybrid_distribution(base, mu), ch, det)
         if skr > skr_opt:
             mu_opt, skr_opt = mu, skr
@@ -110,16 +105,20 @@ def qd_only_skr(qd: QdSourceParams, db: float, channel: ChannelModel, det: Detec
 
 
 def _mixes(qd: QdSourceParams, db: float, channel: ChannelModel, det: DetectorModel) -> bool:
-    """Whether mixing in laser light improves the SKR at this attenuation."""
+    """Whether mixing in laser light improves the SKR at this attenuation: the
+    sign of the SKR slope at mu = 0 where the bare dot has a key (the clamped
+    SKR is unimodal in mu), else whether some admixture makes a key."""
+    base = qd_distribution(qd)
+    ch = channel.with_attenuation(db)
+    if _clamped_skr(base, ch, det) > 0.0:
+        return _skr_rising(base, ch.transmissivity, det)
     return optimize_mu_laser(qd, db, channel, det).mu_laser_opt > 0.0
 
 
-def _last_true(pred, lo: float, hi: float, tol: float) -> float:
-    """Bisect a predicate that holds at lo and fails at hi down to a bracket
-    of width tol; returns the bracket's upper end, the first value known to
-    fail."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+def _last_true(pred, lo: float, hi: float) -> float:
+    """Bisect a predicate that holds at lo and fails at hi until the two are
+    adjacent floats; returns hi, the first float known to fail."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if pred(mid):
             lo = mid
         else:
@@ -127,46 +126,44 @@ def _last_true(pred, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
-def _brightness_boundary(pred) -> float:
-    """Brightness in [0, 1] at which pred stops holding, to BRIGHTNESS_TOL:
-    0 when it fails already at 0, 1 when it still holds at 1."""
-    if not pred(0.0):
-        return 0.0
-    if pred(1.0):
-        return 1.0
-    return _last_true(pred, 0.0, 1.0, BRIGHTNESS_TOL)
+def _boundary(pred, lo: float, hi: float) -> float:
+    """First float in [lo, hi] at which pred stops holding: lo when it fails
+    already at lo, hi when it still holds at hi."""
+    if not pred(lo):
+        return lo
+    if pred(hi):
+        return hi
+    return _last_true(pred, lo, hi)
 
 
 def crossover_attenuation(
     qd: QdSourceParams, channel: ChannelModel, det: DetectorModel
 ) -> float | None:
     """Smallest attenuation above which pure single-photon statistics are
-    optimal, to 0.05 dB. None when mixing never helps (zero everywhere) or
-    when laser light helps everywhere a key exists at all.
+    optimal: the root in db of the SKR slope at mu = 0. None when mixing
+    never helps (zero everywhere) or when laser light helps everywhere a key
+    exists at all.
     """
-    if not _mixes(qd, 0.0, channel, det) or _mixes(qd, DB_MAX, channel, det):
-        return None
-    hi = _last_true(lambda db: _mixes(qd, db, channel, det), 0.0, DB_MAX, DB_RESOLUTION)
+    db = _boundary(lambda db: _mixes(qd, db, channel, det), 0.0, DB_MAX)
     # A genuine crossover needs a single-photon key at the boundary;
     # otherwise the admixture just died together with the key itself.
-    if qd_only_skr(qd, hi, channel, det) <= 0.0:
+    if db in (0.0, DB_MAX) or qd_only_skr(qd, db, channel, det) <= 0.0:
         return None
-    return hi
+    return db
 
 
 def unconditional_advantage_brightness(
     g2: float, det: DetectorModel, channel: ChannelModel
 ) -> float:
     """Smallest collected brightness at which mixing in laser light no longer
-    improves the SKR at any attenuation.
+    improves the SKR at any attenuation: the root in brightness of the SKR
+    slope at mu = 0, at 0 dB.
 
     The decision is taken at 0 dB alone: the optimal admixture shrinks as
     loss grows, so mixing that helps at some attenuation also helps at every
     smaller one, and at 0 dB above all.
     """
-    return _brightness_boundary(
-        lambda brightness: _mixes(QdSourceParams(brightness, g2), 0.0, channel, det)
-    )
+    return _boundary(lambda b: _mixes(QdSourceParams(b, g2), 0.0, channel, det), 0.0, 1.0)
 
 
 def laser_beat_brightness(
@@ -180,11 +177,9 @@ def laser_beat_brightness(
     which the dot wins, closed before brightness 1, is reported as 1.
     """
     laser_best = optimize_mu_laser(QdSourceParams(0.0, 0.0), 0.0, channel, det).skr_opt
-
-    def qd_wins(brightness: float) -> bool:
-        return qd_only_skr(QdSourceParams(brightness, g2), 0.0, channel, det) > laser_best
-
-    return _brightness_boundary(lambda brightness: not qd_wins(brightness))
+    return _boundary(
+        lambda b: qd_only_skr(QdSourceParams(b, g2), 0.0, channel, det) <= laser_best, 0.0, 1.0
+    )
 
 
 def skr_scan(

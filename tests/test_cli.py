@@ -40,21 +40,28 @@ def test_closed_stdout_pipe_exits_quietly(command, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "unwritable_out", "profile_is_directory", "outdir_is_file", "empty_csv", "profile_not_utf8",
+    "csv_not_utf8",
 ])
 def test_unusable_file_is_error_not_traceback(case, tmp_path, capsys):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     bad_profile = tmp_path / "latin1.profile"
     bad_profile.write_bytes(Path(TINY).read_bytes() + "# \xb5\n".encode("latin-1"))
-    argv = {
-        "unwritable_out": ["scan", "-c", TINY, "-o", str(tmp_path / "missing" / "x.csv")],
-        "profile_is_directory": ["scan", "-c", str(tmp_path)],
-        "outdir_is_file": ["figures", "-c", TINY, "--outdir", str(a_file)],
-        "empty_csv": ["plotscript", str(a_file)],
-        "profile_not_utf8": ["scan", "-c", str(bad_profile)],
+    bad_csv = tmp_path / "latin1.csv"
+    bad_csv.write_bytes("db,skr_per_pulse \xb5\n0,1\n".encode("latin-1"))
+    missing_out = tmp_path / "missing" / "x.csv"
+    argv, path = {
+        "unwritable_out": (["scan", "-c", TINY, "-o", str(missing_out)], missing_out),
+        "profile_is_directory": (["scan", "-c", str(tmp_path)], tmp_path),
+        "outdir_is_file": (["figures", "-c", TINY, "--outdir", str(a_file)], a_file),
+        "empty_csv": (["plotscript", str(a_file)], a_file),
+        "profile_not_utf8": (["scan", "-c", str(bad_profile)], bad_profile),
+        "csv_not_utf8": (["plotscript", str(bad_csv)], bad_csv),
     }[case]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
 
 
 class TestScan:
@@ -149,6 +156,16 @@ class TestConfigHandling:
         assert main(["scan", "-c", str(profile)]) == 2
         assert f"{profile}:8: " in capsys.readouterr().err
         assert main(["scan", "-c", TINY, "--laser.mu=5", "--channel.db=0"]) == 0
+
+    @pytest.mark.parametrize(
+        "override", ["--run.output=", "--detector.dark_rate_hz=", "--channel.db= "]
+    )
+    def test_empty_override_value_rejected(self, override, capsys):
+        # as an empty value in a profile is: "file:line: empty value for 'key'"
+        assert main(["scan", "-c", TINY, override]) == 2
+        target = override.split("=", 1)[0]
+        key = target.split(".", 1)[1]
+        assert capsys.readouterr().err == f"error: {target}: empty value for '{key}'\n"
 
     def test_removed_laser_optimize_key_is_unknown(self, capsys):
         assert main(["scan", "-c", TINY, "--laser.optimize=1"]) == 2

@@ -17,14 +17,7 @@ from hybridqkd import (
     skr_scan,
     unconditional_advantage_brightness,
 )
-from hybridqkd.optimize import (
-    BRIGHTNESS_TOL,
-    DB_MAX,
-    DB_RESOLUTION,
-    OptimizationResult,
-    _brightness_boundary,
-    _last_true,
-)
+from hybridqkd.optimize import DB_MAX, OptimizationResult, _boundary, _last_true
 
 TABLE1_QD = QdSourceParams(0.0409, 0.012)
 TABLE1_CH = ChannelModel(fiber_alpha=0.21, eta0=0.9)
@@ -171,10 +164,9 @@ class TestSkrScan:
         assert points[0].mix_ratio == pytest.approx(mu / (mu_qd + mu), abs=1e-12)
 
 
-def reference_bisection(pred, lo, hi, tol):
-    """The loop each search used to carry inline."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+def reference_bisection(pred, lo, hi):
+    """The loop each search used to carry inline, run down to adjacent floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if pred(mid):
             lo = mid
         else:
@@ -197,23 +189,23 @@ class Recorder:
 class TestBisectionHelpers:
     @pytest.mark.parametrize("step", [0.0, 1e-9, 0.123456, 0.5, 0.99995, 0.9999999])
     def test_last_true_lands_just_past_the_step(self, step):
-        for tol in (BRIGHTNESS_TOL, 1e-7):
-            result = _last_true(lambda x: x <= step, 0.0, 1.0, tol)
-            assert step < result <= step + tol
+        result = _last_true(lambda x: x <= step, 0.0, 1.0)
+        assert result == math.nextafter(step, math.inf)
 
     def test_last_true_edges(self):
-        never = _last_true(lambda x: False, 2.0, 3.0, 1e-3)
-        assert 2.0 < never <= 2.0 + 1e-3
-        assert _last_true(lambda x: True, 2.0, 3.0, 1e-3) == 3.0
+        assert _last_true(lambda x: False, 2.0, 3.0) == math.nextafter(2.0, math.inf)
+        assert _last_true(lambda x: True, 2.0, 3.0) == 3.0
 
-    def test_brightness_boundary_edges(self):
-        assert _brightness_boundary(lambda b: False) == 0.0
-        assert _brightness_boundary(lambda b: True) == 1.0
+    def test_boundary_edges(self):
+        assert _boundary(lambda b: False, 0.0, 1.0) == 0.0
+        assert _boundary(lambda b: True, 0.0, 1.0) == 1.0
+        assert _boundary(lambda db: False, 0.0, DB_MAX) == 0.0
+        assert _boundary(lambda db: True, 0.0, DB_MAX) == DB_MAX
 
     @pytest.mark.parametrize("step", [0.3, 0.457, 0.9])
-    def test_brightness_boundary_resolution(self, step):
-        result = _brightness_boundary(lambda b: b <= step)
-        assert step < result <= step + BRIGHTNESS_TOL
+    def test_boundary_resolution(self, step):
+        result = _boundary(lambda b: b <= step, 0.0, 1.0)
+        assert result == math.nextafter(step, math.inf)
 
     @pytest.mark.parametrize("step", [-1.0, 0.2, 0.61803, 2.0])
     def test_unconditional_asks_the_former_questions(self, monkeypatch, step):
@@ -228,7 +220,7 @@ class TestBisectionHelpers:
         elif ref(1.0):
             expected = 1.0
         else:
-            expected = reference_bisection(ref, 0.0, 1.0, BRIGHTNESS_TOL)
+            expected = reference_bisection(ref, 0.0, 1.0)
         assert result == expected
         assert seen.calls == ref.calls
 
@@ -258,8 +250,7 @@ class TestBisectionHelpers:
             expected = 1.0
         else:
             lo, hi = 0.0, 1.0
-            while hi - lo > BRIGHTNESS_TOL:
-                mid = 0.5 * (lo + hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
                 if qd_wins(mid):
                     hi = mid
                 else:
@@ -278,6 +269,6 @@ class TestBisectionHelpers:
         if not ref(0.0) or ref(DB_MAX):
             expected = None
         else:
-            expected = reference_bisection(ref, 0.0, DB_MAX, DB_RESOLUTION)
+            expected = reference_bisection(ref, 0.0, DB_MAX)
         assert result == expected
         assert seen.calls == ref.calls

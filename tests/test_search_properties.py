@@ -9,6 +9,8 @@ the bare-dot SKR that the laser-beat search compares against the best laser
 must not fall as the brightness rises, which holds for sources as built but
 not everywhere. The unconditional search asks "mixing helps" at 0 dB only,
 which is exact when mixing that helps at some loss also helps at less.
+Where the bare dot has a key, "mixing helps" reads only the slope at mu = 0,
+so it must agree with the optimizer's own answer.
 """
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 
 from hybridqkd import ChannelModel, DetectorModel, QdSourceParams, optimize
 from hybridqkd.optimize import (
-    BRIGHTNESS_TOL,
     _clamped_skr,
     _mixes,
     laser_beat_brightness,
@@ -48,6 +49,16 @@ fractions = st.floats(0.0, 1.0)
 
 def clamped_skr(qd, mu, ch, det):
     return _clamped_skr(hybrid_distribution(qd_distribution(qd), mu), ch, det)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(brightnesses, g2s, setups, attenuations)
+def test_slope_at_zero_agrees_with_the_optimizer(b, g2, setup, db):
+    # Where the bare dot has a key, "mixing helps" is the slope at mu = 0
+    # alone; the optimizer must keep mu > 0 exactly there.
+    ch, det = setup
+    qd = QdSourceParams(b, g2)
+    assert _mixes(qd, db, ch, det) == (optimize_mu_laser(qd, db, ch, det).mu_laser_opt > 0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -171,8 +182,7 @@ def four_probe_unconditional_brightness(g2, det, channel):
     if _mixing_improves_somewhere(1.0, g2, channel, det):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > BRIGHTNESS_TOL:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _mixing_improves_somewhere(mid, g2, channel, det):
             lo = mid
         else:
