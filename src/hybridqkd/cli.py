@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .channel import db_to_km
-from .config import RunConfig, load_config, read_text
+from .config import RunConfig, load_config, ratio_to_mu, read_text
 from .errors import ConfigError, DomainError
 from .montecarlo import SimConfig, empirical_skr, simulate
 from .optimize import (
@@ -194,12 +194,6 @@ def cmd_montecarlo(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _ratio_to_mu(ratio: float, mu_qd: float) -> float:
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError(f"mixing ratios must be in [0, 1), got {ratio!r}")
-    return ratio * mu_qd / (1.0 - ratio)
-
-
 def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
     """Write one CSV per reproduced figure; returns the paths."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +206,7 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
 
     # Distance scalings for fixed mixing ratios.
     mu_qd = mean_photon_number(qd_distribution(cfg.source))
-    mu_values = [_ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
+    mu_values = [ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
     points = skr_scan(cfg.source, mu_values, cfg.db_grid, cfg.channel, cfg.detector)
     emit(
         "fig2_skr_vs_attenuation.csv",

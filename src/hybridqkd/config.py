@@ -5,22 +5,27 @@ Grammar (one entry per line, '#' starts a comment anywhere):
     [section]
     key = value
 
-Values are numbers, booleans, comma-separated number lists, or inclusive
-ranges written start:stop:step. Profiles are looked up as explicit paths
-first, then as <name>.profile under $HYBRIDQKD_PROFILE_DIR, then among the
-bundled profiles (table1, ideal).
+Values are numbers, comma-separated number lists, or inclusive ranges
+written start:stop:step. Each value is checked once, as it is read, by the
+engine object or function that later uses it; a value it rejects is a
+ConfigError at the entry that set it. Profiles are looked up as explicit
+paths first, then as <name>.profile under $HYBRIDQKD_PROFILE_DIR, then among
+the bundled profiles (table1, ideal).
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .channel import ChannelModel, DetectorModel
+from .channel import ChannelModel, DetectorModel, db_to_transmissivity
 from .errors import ConfigError, DomainError
-from .photon_stats import MU_MAX, QdSourceParams
+from .montecarlo import SimConfig
+from .photon_stats import QdSourceParams, mean_photon_number, poisson_distribution, qd_distribution
 
 PROFILE_DIR_ENV = "HYBRIDQKD_PROFILE_DIR"
 
@@ -51,25 +56,6 @@ _DEFAULT_MU_BRIGHTNESS = [0.0, 0.0409, 0.1, 0.2, 0.3, 0.45]
 
 
 @dataclass
-class _Entry:
-    raw: str
-    lineno: int | None
-    origin: str  # the profile, or the --section.key override that set the value
-
-
-@dataclass
-class RawConfig:
-    origin: str
-    entries: dict[str, dict[str, _Entry]] = field(default_factory=dict)
-
-    def set(self, section: str, key: str, raw: str, lineno: int | None, origin: str):
-        self.entries.setdefault(section, {})[key] = _Entry(raw, lineno, origin)
-
-    def get(self, section: str, key: str) -> _Entry | None:
-        return self.entries.get(section, {}).get(key)
-
-
-@dataclass
 class RunConfig:
     """Typed, validated run parameters shared by all CLI commands."""
 
@@ -90,201 +76,200 @@ class RunConfig:
     figure_sweep_g2: float
 
 
-def parse_profile_text(text: str, origin: str) -> RawConfig:
-    raw = RawConfig(origin)
-    section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown section [{section}]", lineno, origin)
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value' or '[section]'", lineno, origin)
-        if section is None:
-            raise ConfigError("entry before any [section] header", lineno, origin)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"unknown key '{key}' in section [{section}]", lineno, origin)
-        if not value:
-            raise ConfigError(f"empty value for '{key}'", lineno, origin)
-        raw.set(section, key, value, lineno, origin)
-    return raw
+def ratio_to_mu(ratio: float, mu_qd: float) -> float:
+    """Laser mean photon number mu with mu / (mu_qd + mu) = ratio; a ratio of
+    1 or more has no finite mu and maps to inf."""
+    return ratio * mu_qd / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
-def apply_overrides(raw: RawConfig, overrides: dict[tuple[str, str], str]):
-    for (section, key), value in overrides.items():
+@dataclass
+class _Entry:
+    raw: str
+    lineno: int | None
+    origin: str  # the profile, or the --section.key override that set the value
+
+    def error(self, message: str) -> ConfigError:
+        """A ConfigError located at this entry."""
+        return ConfigError(message, self.lineno, self.origin)
+
+    def number(self, token: str | None = None) -> float:
+        """The value, or one token of it, as a finite float."""
+        token = self.raw if token is None else token
+        try:
+            value = float(token)
+        except ValueError:
+            raise self.error(f"not a number: {token!r}") from None
+        if not math.isfinite(value):  # nan, inf, and overflow such as 1e400
+            raise self.error(f"not a finite number: {token!r}")
+        return value
+
+    def integer(self) -> int:
+        value = self.number()
+        if value != int(value):
+            raise self.error(f"not an integer: {self.raw!r}")
+        return int(value)
+
+    def numbers(self) -> list[float]:
+        """A comma-separated list, or an inclusive start:stop:step range."""
+        if ":" not in self.raw:
+            return [self.number(tok.strip()) for tok in self.raw.split(",")]
+        parts = self.raw.split(":")
+        if len(parts) != 3:
+            raise self.error(f"range must be start:stop:step, got {self.raw!r}")
+        start, stop, step = (self.number(p) for p in parts)
+        if step <= 0.0:
+            raise self.error("range step must be positive")
+        if stop < start:
+            raise self.error("range stop must not be below start")
+        points = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        if points >= MAX_GRID_POINTS:
+            raise self.error(f"range has more than {MAX_GRID_POINTS:.0e} points")
+        return [start + i * step for i in range(int(points) + 1)]
+
+    def check(self, build, *args, **kwargs):
+        """build(*args, **kwargs), with a DomainError from the engine's own
+        check re-raised as a ConfigError at this entry."""
+        try:
+            return build(*args, **kwargs)
+        except DomainError as exc:
+            raise self.error(str(exc)) from exc
+
+    def check_each(self, values: list[float], build) -> list[float]:
+        """values, each checked by build(value)."""
+        for value in values:
+            self.check(build, value)
+        return values
+
+
+class _Profile:
+    """A profile's entries, overrides applied, read with located errors."""
+
+    def __init__(self, text: str, origin: str):
+        self.origin = origin
+        self.entries: dict[tuple[str, str], _Entry] = {}
+        section = None
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if section not in _KNOWN_KEYS:
+                    raise ConfigError(f"unknown section [{section}]", lineno, origin)
+                continue
+            if "=" not in line:
+                raise ConfigError("expected 'key = value' or '[section]'", lineno, origin)
+            if section is None:
+                raise ConfigError("entry before any [section] header", lineno, origin)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _KNOWN_KEYS[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]", lineno, origin)
+            if not value:
+                raise ConfigError(f"empty value for '{key}'", lineno, origin)
+            self.entries[section, key] = _Entry(value, lineno, origin)
+
+    def override(self, section: str, key: str, value: str):
         if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown override --{section}.{key}")
         if not value.strip():
             raise ConfigError(f"empty value for '{key}'", origin=f"--{section}.{key}")
-        raw.set(section, key, value, None, f"--{section}.{key}")
+        self.entries[section, key] = _Entry(value, None, f"--{section}.{key}")
 
+    def entry(self, section: str, key: str, required: bool = False) -> _Entry | None:
+        entry = self.entries.get((section, key))
+        if entry is None and required:
+            raise ConfigError(f"missing required key '{key}' in [{section}]", origin=self.origin)
+        return entry
 
-def _parse_number(token: str, entry: _Entry) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ConfigError(f"not a number: {token!r}", entry.lineno, entry.origin) from None
-    if not math.isfinite(value):  # nan, inf, and overflow such as 1e400
-        raise ConfigError(f"not a finite number: {token!r}", entry.lineno, entry.origin)
-    return value
-
-
-def _parse_list(entry: _Entry) -> list[float]:
-    value = entry.raw
-    if ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"range must be start:stop:step, got {value!r}", entry.lineno, entry.origin
-            )
-        start, stop, step = (_parse_number(p, entry) for p in parts)
-        if step <= 0.0:
-            raise ConfigError("range step must be positive", entry.lineno, entry.origin)
-        if stop < start:
-            raise ConfigError("range stop must not be below start", entry.lineno, entry.origin)
-        points = (stop - start) / step + 1e-9  # inf when the quotient overflows
-        if points >= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"range has more than {MAX_GRID_POINTS:.0e} points", entry.lineno, entry.origin
-            )
-        return [start + i * step for i in range(int(points) + 1)]
-    return [_parse_number(tok.strip(), entry) for tok in value.split(",")]
-
-
-class _Reader:
-    """Typed access to a RawConfig with line-numbered error reporting."""
-
-    def __init__(self, raw: RawConfig):
-        self.raw = raw
-        self.origin = raw.origin
-
-    def entry(self, section: str, key: str) -> _Entry | None:
-        return self.raw.get(section, key)
-
-    def number(self, section: str, key: str, default: float | None = None) -> float:
-        entry = self.entry(section, key)
+    def replace(
+        self, obj, section: str, key: str, name: str | None = None, required: bool = False
+    ):
+        """obj with field ``name`` (default: key) set to the value of key,
+        when given, and checked by obj's own constructor."""
+        entry = self.entry(section, key, required)
         if entry is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}' in [{section}]", origin=self.origin)
-            return default
-        return _parse_number(entry.raw, entry)
+            return obj
+        return entry.check(dataclasses.replace, obj, **{name or key: entry.number()})
 
-    def integer(self, section: str, key: str, default: int) -> int:
-        value = self.number(section, key, float(default))
-        if value != int(value):
-            entry = self.entry(section, key)
-            raise ConfigError(f"'{key}' must be an integer", entry.lineno, entry.origin)
-        return int(value)
-
-    def numbers(self, section: str, key: str, default: list[float] | None = None) -> list[float]:
+    def numbers(self, section: str, key: str, default: list[float], build) -> list[float]:
+        """The list given for key, each value checked by build, or default."""
         entry = self.entry(section, key)
-        if entry is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}' in [{section}]", origin=self.origin)
-            return list(default)
-        return _parse_list(entry)
+        return list(default) if entry is None else entry.check_each(entry.numbers(), build)
 
     def one_of(self, section: str, first: str, second: str) -> tuple[str, _Entry]:
         """The key and entry of whichever of two exclusive keys is given."""
         a, b = self.entry(section, first), self.entry(section, second)
         if (a is None) == (b is None):
-            lineno = (a or b).lineno if (a or b) else None
-            raise ConfigError(
-                f"exactly one of '{first}' or '{second}' must be given in [{section}]",
-                lineno,
-                self.origin,
-            )
+            message = f"exactly one of '{first}' or '{second}' must be given in [{section}]"
+            raise a.error(message) if a else ConfigError(message, origin=self.origin)
         return (first, a) if a is not None else (second, b)
 
-    def string(self, section: str, key: str) -> str | None:
-        entry = self.entry(section, key)
-        return entry.raw if entry is not None else None
 
-    def build(self, factory, section: str, **kwargs):
-        try:
-            return factory(**kwargs)
-        except DomainError as exc:
-            raise ConfigError(f"[{section}] {exc}", origin=self.origin) from exc
+def build_run_config(profile: _Profile) -> RunConfig:
+    source = QdSourceParams(0.0, 0.0)
+    for key in ("brightness", "g2"):
+        source = profile.replace(source, "source", key, required=True)
+    mu_list = profile.numbers("laser", "mu", [], poisson_distribution)
 
-
-def build_run_config(raw: RawConfig) -> RunConfig:
-    reader = _Reader(raw)
-
-    brightness = reader.number("source", "brightness")
-    g2 = reader.number("source", "g2")
-    source = reader.build(QdSourceParams, "source", brightness=brightness, g2=g2)
-
-    mu_list = reader.numbers("laser", "mu", default=[])
-    if any(not 0.0 <= mu <= MU_MAX for mu in mu_list):
-        entry = reader.entry("laser", "mu")
-        raise ConfigError(
-            f"laser mean photon numbers must be in [0, {MU_MAX:g}]", entry.lineno, entry.origin
-        )
-
-    alpha = reader.number("channel", "alpha", 0.21)
-    eta0 = reader.number("channel", "eta0", 1.0)
-    grid_key, grid_entry = reader.one_of("channel", "db", "km")
-    db_grid = _parse_list(grid_entry)
+    channel = profile.replace(ChannelModel(), "channel", "alpha", "fiber_alpha")
+    channel = profile.replace(channel, "channel", "eta0")
+    grid_key, grid_entry = profile.one_of("channel", "db", "km")
+    db_grid = grid_entry.numbers()
     if grid_key == "km":
-        db_grid = [km * alpha for km in db_grid]
-    if any(db < 0.0 for db in db_grid):
-        raise ConfigError(
-            "attenuations must be nonnegative", grid_entry.lineno, grid_entry.origin
-        )
-    channel = reader.build(ChannelModel, "channel", fiber_alpha=alpha, eta0=eta0)
+        db_grid = [km * channel.fiber_alpha for km in db_grid]
+        if not all(map(math.isfinite, db_grid)):
+            raise grid_entry.error(f"km * alpha overflows at alpha = {channel.fiber_alpha!r}")
+    grid_entry.check_each(db_grid, db_to_transmissivity)
 
-    rep_rate = reader.number("detector", "rep_rate_hz", 81.96e6)
-    y0_key, y0_entry = reader.one_of("detector", "y0", "dark_rate_hz")
-    y0 = _parse_number(y0_entry.raw, y0_entry)
+    detector = DetectorModel(e_d=0.0, y0=0.0)  # both are required below
+    for key in ("e_d", "e0", "f_ec", "rep_rate_hz"):
+        detector = profile.replace(detector, "detector", key, required=key == "e_d")
+    y0_key, y0_entry = profile.one_of("detector", "y0", "dark_rate_hz")
+    y0 = y0_entry.number()
     if y0_key == "dark_rate_hz":
-        y0 /= rep_rate
-    detector = reader.build(
-        DetectorModel,
-        "detector",
-        e_d=reader.number("detector", "e_d"),
-        y0=y0,
-        e0=reader.number("detector", "e0", 0.5),
-        f_ec=reader.number("detector", "f_ec", 1.2),
-        rep_rate_hz=rep_rate,
-    )
+        y0 /= detector.rep_rate_hz  # positive: DetectorModel checked it
+    detector = y0_entry.check(dataclasses.replace, detector, y0=y0)
 
-    n_pulses = reader.integer("run", "n_pulses", 1_000_000)
-    if not 1 <= n_pulses <= MAX_PULSES:
-        entry = reader.entry("run", "n_pulses")
-        raise ConfigError(
-            f"n_pulses must be between 1 and {MAX_PULSES:.0e}", entry.lineno, entry.origin
-        )
-    seed = reader.integer("run", "seed", 1)
-    if seed < 0:
-        entry = reader.entry("run", "seed")
-        raise ConfigError("seed must be nonnegative", entry.lineno, entry.origin)
+    sim = SimConfig(1_000_000, 1, poisson_distribution(0.0), 1.0, detector)
+    for key in ("n_pulses", "seed"):
+        if entry := profile.entry("run", key):
+            sim = entry.check(dataclasses.replace, sim, **{key: entry.integer()})
+    if sim.n_pulses > MAX_PULSES:
+        raise profile.entry("run", "n_pulses").error(f"n_pulses must be at most {MAX_PULSES:.0e}")
+    output = profile.entry("run", "output")
 
-    threshold_brightness = reader.numbers(
-        "threshold", "brightness", default=[i * 0.05 for i in range(21)]
-    )
-    threshold_db = reader.numbers("threshold", "db", default=db_grid)
-
+    sweep_g2 = profile.replace(QdSourceParams(0.0, 0.01), "figures", "sweep_g2", "g2").g2
+    with_source_g2 = partial(QdSourceParams, g2=source.g2)
+    mu_qd = mean_photon_number(qd_distribution(source))
     return RunConfig(
         source=source,
         mu_list=mu_list,
         db_grid=db_grid,
         channel=channel,
         detector=detector,
-        n_pulses=n_pulses,
-        seed=seed,
-        output=reader.string("run", "output"),
-        threshold_brightness=threshold_brightness,
-        threshold_db=threshold_db,
-        figure_ratios=reader.numbers("figures", "ratios", _DEFAULT_FIGURE_RATIOS),
-        figure_error_rates=reader.numbers("figures", "error_rates", _DEFAULT_ERROR_RATES),
-        figure_brightness=reader.numbers("figures", "brightness", _DEFAULT_FIGURE_BRIGHTNESS),
-        figure_mu_brightness=reader.numbers("figures", "mu_brightness", _DEFAULT_MU_BRIGHTNESS),
-        figure_sweep_g2=reader.number("figures", "sweep_g2", 0.01),
+        n_pulses=sim.n_pulses,
+        seed=sim.seed,
+        output=output.raw if output else None,
+        threshold_brightness=profile.numbers(
+            "threshold", "brightness", [i * 0.05 for i in range(21)], with_source_g2
+        ),
+        threshold_db=profile.numbers("threshold", "db", db_grid, db_to_transmissivity),
+        figure_ratios=profile.numbers(
+            "figures", "ratios", _DEFAULT_FIGURE_RATIOS,
+            lambda r: poisson_distribution(ratio_to_mu(r, mu_qd)),
+        ),
+        figure_error_rates=profile.numbers(
+            "figures", "error_rates", _DEFAULT_ERROR_RATES,
+            lambda e_d: dataclasses.replace(detector, e_d=e_d),
+        ),
+        figure_brightness=profile.numbers(
+            "figures", "brightness", _DEFAULT_FIGURE_BRIGHTNESS,
+            partial(QdSourceParams, g2=sweep_g2),
+        ),
+        figure_mu_brightness=profile.numbers(
+            "figures", "mu_brightness", _DEFAULT_MU_BRIGHTNESS, with_source_g2
+        ),
+        figure_sweep_g2=sweep_g2,
     )
 
 
@@ -319,8 +304,7 @@ def find_profile(name_or_path: str) -> tuple[str, str]:
 def load_config(
     name_or_path: str, overrides: dict[tuple[str, str], str] | None = None
 ) -> RunConfig:
-    text, origin = find_profile(name_or_path)
-    raw = parse_profile_text(text, origin)
-    if overrides:
-        apply_overrides(raw, overrides)
-    return build_run_config(raw)
+    profile = _Profile(*find_profile(name_or_path))
+    for (section, key), value in (overrides or {}).items():
+        profile.override(section, key, value)
+    return build_run_config(profile)

@@ -8,7 +8,8 @@ class DomainError(ValueError):
 class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent.
 
-    Carries the line number of the offending entry when it came from a
+    Carries the origin of the offending entry (a profile, or the
+    --section.key override that set it) and its line when it came from a
     profile file.
     """
 
@@ -18,8 +19,6 @@ class ConfigError(ValueError):
         where = ""
         if origin is not None and lineno is not None:
             where = f"{origin}:{lineno}: "
-        elif lineno is not None:
-            where = f"line {lineno}: "
         elif origin is not None:
             where = f"{origin}: "
         super().__init__(where + message)

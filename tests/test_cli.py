@@ -157,6 +157,52 @@ class TestConfigHandling:
         assert f"{profile}:8: " in capsys.readouterr().err
         assert main(["scan", "-c", TINY, "--laser.mu=5", "--channel.db=0"]) == 0
 
+    @pytest.mark.parametrize("where", ["override", "profile"])
+    @pytest.mark.parametrize("section,key,value,edits", [
+        # y0 derived from the dark rate divides by the repetition rate
+        ("detector", "rep_rate_hz", "0", {"y0 = 1e-6": "dark_rate_hz = 1"}),
+        ("source", "brightness", "2", {}),
+        ("threshold", "db", "-1", {}),
+        ("threshold", "brightness", "2", {}),
+        ("figures", "error_rates", "0.7", {}),
+        ("figures", "ratios", "1", {}),
+        # km * alpha overflows to an infinite attenuation
+        ("channel", "km", "1e300", {"db = 0, 10, 21": "km = 1", "alpha = 0.21": "alpha = 1e10"}),
+    ])
+    def test_bad_value_named_at_its_entry_before_output(
+        self, section, key, value, edits, where, tmp_path, capsys
+    ):
+        text = Path(TINY).read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        profile = tmp_path / "probe.profile"
+        if where == "override":
+            profile.write_text(text)
+            extra, located = [f"--{section}.{key}={value}"], f"--{section}.{key}"
+        else:
+            # a later [section] entry replaces the earlier one
+            profile.write_text(text + f"[{section}]\n{key} = {value}\n")
+            extra, located = [], f"{profile}:{len(text.splitlines()) + 2}"
+        outdir = tmp_path / "figs"
+        assert main(["figures", "-c", str(profile), "--outdir", str(outdir), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {located}: ")
+        assert "Traceback" not in err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_omitted_keys_take_the_model_defaults(self, tmp_path):
+        from hybridqkd import ChannelModel, DetectorModel
+        from hybridqkd.config import load_config
+
+        profile = tmp_path / "bare.profile"
+        profile.write_text("".join(
+            line for line in Path(TINY).read_text().splitlines(keepends=True)
+            if line.split("=")[0].strip() not in {"alpha", "eta0", "e0", "f_ec", "rep_rate_hz"}
+        ))
+        cfg = load_config(str(profile))
+        assert cfg.channel == ChannelModel()
+        assert cfg.detector == DetectorModel(e_d=0.01, y0=1e-6)
+
     @pytest.mark.parametrize(
         "override", ["--run.output=", "--detector.dark_rate_hz=", "--channel.db= "]
     )
