@@ -6,7 +6,6 @@ from .channel import (
     db_to_km,
     db_to_transmissivity,
     error_k,
-    gain_k,
     totals,
     yield_k,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "empirical_skr",
     "error_k",
     "g2_of",
-    "gain_k",
     "gllp_skr",
     "hybrid_distribution",
     "infer_mu_laser",

@@ -93,11 +93,6 @@ def yield_k(k: int, eta: float, y0: float) -> float:
     return y0 + (1.0 - y0) * (1.0 - (1.0 - eta) ** k)
 
 
-def gain_k(p_k: float, y_k: float) -> float:
-    """Joint probability Q_k = p_k Y_k of emitting k photons and clicking."""
-    return p_k * y_k
-
-
 def error_k(k: int, eta: float, det: DetectorModel) -> float:
     """QBER of k-photon emissions:
     e_k = (e0 Y0 + e_d (1 - (1 - eta)^k)) / Y_k.

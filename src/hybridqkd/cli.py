@@ -194,49 +194,27 @@ def cmd_montecarlo(cfg: RunConfig, args) -> int:
     return 0
 
 
-def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
-    """Write one CSV per reproduced figure; returns the paths."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name: str, columns: list[str], rows: list[tuple]) -> None:
-        path = outdir / name
-        _write_csv(columns, rows, str(path))
-        written.append(path)
-
-    # Distance scalings for fixed mixing ratios.
+def figure_tables(cfg: RunConfig) -> list[tuple[str, list[str], list[tuple]]]:
+    """(file name, columns, rows) of each reproduced figure."""
+    # Distance scalings for fixed mixing ratios. Given ratios passed this
+    # check at load, so a rejected one is a default.
     mu_qd = mean_photon_number(qd_distribution(cfg.source))
-    mu_values = [ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
+    try:
+        mu_values = [ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
+    except DomainError as exc:
+        raise ConfigError(f"default [figures] ratios: {exc}") from None
     points = skr_scan(cfg.source, mu_values, cfg.db_grid, cfg.channel, cfg.detector)
-    emit(
-        "fig2_skr_vs_attenuation.csv",
-        ["ratio_label"] + SCAN_COLUMNS,
-        [(cfg.figure_ratios[i % len(mu_values)],) + _scan_row(p) for i, p in enumerate(points)],
-    )
-
-    # Optimized admixture, purity, and SKR against attenuation.
-    emit("fig3_optimized_scaling.csv", OPTIMIZE_COLUMNS, _optimize_rows(cfg, cfg.db_grid))
-
-    # Optimal ratio over the brightness x attenuation plane.
-    emit(
-        "fig4a_optimal_ratio_grid.csv",
-        THRESHOLD_COLUMNS,
-        threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db),
-    )
+    labels = cfg.figure_ratios * len(cfg.db_grid)
+    fig2 = [(label,) + _scan_row(p) for label, p in zip(labels, points)]
 
     # Optimized distance scaling for a range of misalignment error rates.
-    cases = (
+    error_cases = (
         (e_d, cfg.source, dataclasses.replace(cfg.detector, e_d=e_d))
         for e_d in cfg.figure_error_rates
     )
-    emit(
-        "supp_error_rate_sweep.csv",
-        ["e_d", "db", "km", "mu_laser_opt", "ratio_opt", "skr_opt"],
-        _optimum_rows(cfg, cases, cfg.db_grid),
-    )
 
     # Single-photon-only distance scaling for a range of brightnesses.
-    rows = []
+    brightness_rows = []
     for brightness in cfg.figure_brightness:
         qd = QdSourceParams(brightness, cfg.figure_sweep_g2)
         dist = qd_distribution(qd)
@@ -247,27 +225,42 @@ def figure_files(cfg: RunConfig, outdir: Path) -> list[Path]:
                 skr, clamped = report.skr_per_pulse, report.clamped
             except DomainError:
                 skr, clamped = 0.0, True
-            rows.append((brightness, db, ch.km, skr, clamped))
-    emit(
-        "supp_brightness_sweep.csv",
-        ["brightness", "db", "km", "skr_per_pulse", "clamped"],
-        rows,
-    )
+            brightness_rows.append((brightness, db, ch.km, skr, clamped))
 
-    # Optimal laser mean photon number for several brightnesses (0 = laser only).
-    rows = threshold_grid_rows(cfg, cfg.figure_mu_brightness, cfg.db_grid)
-    emit(
-        "supp_optimal_mu.csv",
-        ["brightness", "db", "km", "mu_laser_opt", "skr_opt"],
-        [row[:4] + row[5:] for row in rows],
-    )
-    return written
+    # Optimal laser mean photon number for several brightnesses (0 = laser
+    # only), without the ratio column.
+    mu_rows = threshold_grid_rows(cfg, cfg.figure_mu_brightness, cfg.db_grid)
+    return [
+        ("fig2_skr_vs_attenuation.csv", ["ratio_label"] + SCAN_COLUMNS, fig2),
+        # Optimized admixture, purity, and SKR against attenuation.
+        ("fig3_optimized_scaling.csv", OPTIMIZE_COLUMNS, _optimize_rows(cfg, cfg.db_grid)),
+        # Optimal ratio over the brightness x attenuation plane.
+        (
+            "fig4a_optimal_ratio_grid.csv", THRESHOLD_COLUMNS,
+            threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db),
+        ),
+        (
+            "supp_error_rate_sweep.csv", ["e_d"] + THRESHOLD_COLUMNS[1:],
+            _optimum_rows(cfg, error_cases, cfg.db_grid),
+        ),
+        (
+            "supp_brightness_sweep.csv", ["brightness", "db", "km", "skr_per_pulse", "clamped"],
+            brightness_rows,
+        ),
+        (
+            "supp_optimal_mu.csv", THRESHOLD_COLUMNS[:4] + THRESHOLD_COLUMNS[5:],
+            [row[:4] + row[5:] for row in mu_rows],
+        ),
+    ]
 
 
 def cmd_figures(cfg: RunConfig, args) -> int:
+    tables = figure_tables(cfg)
     outdir = Path(args.outdir or cfg.output or "figures")
-    for path in figure_files(cfg, outdir):
-        print(path)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, columns, rows in tables:
+        _write_csv(columns, rows, str(outdir / name))
+        print(outdir / name)
     return 0
 
 

@@ -25,7 +25,9 @@ from pathlib import Path
 from .channel import ChannelModel, DetectorModel, db_to_transmissivity
 from .errors import ConfigError, DomainError
 from .montecarlo import SimConfig
-from .photon_stats import QdSourceParams, mean_photon_number, poisson_distribution, qd_distribution
+from .photon_stats import (
+    MU_MAX, QdSourceParams, mean_photon_number, poisson_distribution, qd_distribution,
+)
 
 PROFILE_DIR_ENV = "HYBRIDQKD_PROFILE_DIR"
 
@@ -77,9 +79,17 @@ class RunConfig:
 
 
 def ratio_to_mu(ratio: float, mu_qd: float) -> float:
-    """Laser mean photon number mu with mu / (mu_qd + mu) = ratio; a ratio of
-    1 or more has no finite mu and maps to inf."""
-    return ratio * mu_qd / (1.0 - ratio) if ratio < 1.0 else math.inf
+    """The laser mean photon number mu in [0, MU_MAX] with mu / (mu_qd + mu)
+    = ratio beside a source of mean photon number mu_qd. DomainError where
+    there is none: a ratio outside [0, 1), a ratio above 0 beside a dark
+    source (mu_qd = 0), or one that needs mu above MU_MAX."""
+    mu = ratio * mu_qd / (1.0 - ratio) if 0.0 <= ratio < 1.0 else math.inf
+    if mu > MU_MAX or (ratio > 0.0 and mu_qd == 0.0):
+        raise DomainError(
+            f"no laser mean photon number in [0, {MU_MAX:g}] gives mixing ratio {ratio!r}"
+            f" beside a source of mean photon number {mu_qd:.6g}"
+        )
+    return mu
 
 
 @dataclass
@@ -255,8 +265,7 @@ def build_run_config(profile: _Profile) -> RunConfig:
         ),
         threshold_db=profile.numbers("threshold", "db", db_grid, db_to_transmissivity),
         figure_ratios=profile.numbers(
-            "figures", "ratios", _DEFAULT_FIGURE_RATIOS,
-            lambda r: poisson_distribution(ratio_to_mu(r, mu_qd)),
+            "figures", "ratios", _DEFAULT_FIGURE_RATIOS, partial(ratio_to_mu, mu_qd=mu_qd)
         ),
         figure_error_rates=profile.numbers(
             "figures", "error_rates", _DEFAULT_ERROR_RATES,

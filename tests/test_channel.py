@@ -11,7 +11,6 @@ from hybridqkd import (
     db_to_km,
     db_to_transmissivity,
     error_k,
-    gain_k,
     qd_distribution,
     QdSourceParams,
     totals,
@@ -81,11 +80,6 @@ class TestYield:
 
 
 class TestGainAndError:
-    def test_gain_examples(self):
-        assert gain_k(0.0, 0.7) == 0.0
-        assert gain_k(1.0, 0.3) == 0.3
-        assert gain_k(0.04, 0.1) == pytest.approx(0.004, abs=1e-15)
-
     def test_error_vacuum_is_e0(self):
         assert error_k(0, 0.5, detector(e0=0.5, y0=1e-4)) == pytest.approx(0.5, abs=1e-12)
 

@@ -166,6 +166,9 @@ class TestConfigHandling:
         ("threshold", "brightness", "2", {}),
         ("figures", "error_rates", "0.7", {}),
         ("figures", "ratios", "1", {}),
+        # a dark source has no laser mu that gives a ratio other than 0
+        ("figures", "ratios", "0.5", {"brightness = 0.04": "brightness = 0"}),
+        ("figures", "ratios", "-0.5", {"brightness = 0.04": "brightness = 0"}),
         # km * alpha overflows to an infinite attenuation
         ("channel", "km", "1e300", {"db = 0, 10, 21": "km = 1", "alpha = 0.21": "alpha = 1e10"}),
     ])
@@ -384,6 +387,35 @@ class TestFiguresCommand:
         ]
         fig2 = (tmp_path / "figs" / "fig2_skr_vs_attenuation.csv").read_text().splitlines()
         assert fig2[0].startswith("ratio_label,db,km,mu_laser")
+
+    def test_default_ratio_out_of_range_writes_nothing(self, tmp_path, capsys):
+        # the default ratio 0.868 needs mu = 6.6 mu_qd, above MU_MAX on this source
+        outdir = tmp_path / "figs"
+        argv = ["figures", "-c", "table1", "--source.brightness=0.9", "--outdir", str(outdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: default [figures] ratios: ")
+        assert "0.868" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_fig2_ratio_matches_its_label(self, tmp_path):
+        figdir = tmp_path / "figs"
+        assert main(["figures", "-c", "table1", "--outdir", str(figdir)]) == 0
+        rows = (figdir / "fig2_skr_vs_attenuation.csv").read_text().splitlines()
+        ratio = rows[0].split(",").index("ratio")
+        for row in rows[1:]:
+            values = row.split(",")
+            assert float(values[ratio]) == pytest.approx(float(values[0]), rel=1e-9, abs=0.0)
+
+    def test_zero_ratio_on_a_dark_source(self, tmp_path):
+        figdir = tmp_path / "figs"
+        argv = [
+            "figures", "-c", TINY, "--outdir", str(figdir),
+            "--source.brightness=0", "--figures.ratios=0",
+        ]
+        assert main(argv) == 0
+        assert len(list(figdir.iterdir())) == 6
 
     def test_fig2_zero_ratio_matches_scan(self, tmp_path, capsys):
         figdir = tmp_path / "figs"
