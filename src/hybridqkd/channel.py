@@ -33,10 +33,6 @@ class ChannelModel:
     def transmissivity(self) -> float:
         return self.eta0 * db_to_transmissivity(self.attenuation_db)
 
-    @property
-    def km(self) -> float:
-        return db_to_km(self.attenuation_db, self.fiber_alpha)
-
     def with_attenuation(self, db: float) -> "ChannelModel":
         return dataclasses.replace(self, attenuation_db=db)
 
@@ -64,6 +60,8 @@ class DetectorModel:
             raise DomainError(f"y0 must be in [0, 1), got {self.y0!r}")
         if not 0.0 <= self.e0 <= 1.0:
             raise DomainError(f"e0 must be in [0, 1], got {self.e0!r}")
+        if self.e0 + self.e_d > 1.0:  # keeps E_tot <= 1
+            raise DomainError(f"e0 + e_d must be at most 1, got {self.e0 + self.e_d!r}")
         if self.f_ec < 1.0:
             raise DomainError(f"f_ec must be at least 1, got {self.f_ec!r}")
         if self.rep_rate_hz <= 0.0:
@@ -77,7 +75,7 @@ def db_to_transmissivity(db: float) -> float:
     return 10.0 ** (-db / 10.0)
 
 
-def db_to_km(db: float, alpha: float = 0.21) -> float:
+def db_to_km(db: float, alpha: float) -> float:
     """Fiber length equivalent to an attenuation, for alpha dB/km."""
     if alpha <= 0.0:
         raise DomainError(f"fiber attenuation must be positive, got {alpha!r}")

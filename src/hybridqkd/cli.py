@@ -219,13 +219,13 @@ def figure_tables(cfg: RunConfig) -> list[tuple[str, list[str], list[tuple]]]:
         qd = QdSourceParams(brightness, cfg.figure_sweep_g2)
         dist = qd_distribution(qd)
         for db in cfg.db_grid:
-            ch = cfg.channel.with_attenuation(db)
             try:
-                report = gllp_skr(dist, ch, cfg.detector)
+                report = gllp_skr(dist, cfg.channel.with_attenuation(db), cfg.detector)
                 skr, clamped = report.skr_per_pulse, report.clamped
             except DomainError:
                 skr, clamped = 0.0, True
-            brightness_rows.append((brightness, db, ch.km, skr, clamped))
+            km = db_to_km(db, cfg.channel.fiber_alpha)
+            brightness_rows.append((brightness, db, km, skr, clamped))
 
     # Optimal laser mean photon number for several brightnesses (0 = laser
     # only), without the ratio column.

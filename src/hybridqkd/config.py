@@ -31,9 +31,6 @@ from .photon_stats import (
 
 PROFILE_DIR_ENV = "HYBRIDQKD_PROFILE_DIR"
 
-# Largest accepted run.n_pulses. At tens of Mpulses/s on one core this is
-# hours of simulation; anything larger is a typo, not a run.
-MAX_PULSES = 10**12
 # Most points a start:stop:step range may expand to. Dense sweeps use about
 # a thousand; a million already takes minutes of SKR evaluations, and the
 # count is checked before the list is built.
@@ -244,8 +241,6 @@ def build_run_config(profile: _Profile) -> RunConfig:
     for key in ("n_pulses", "seed"):
         if entry := profile.entry("run", key):
             sim = entry.check(dataclasses.replace, sim, **{key: entry.integer()})
-    if sim.n_pulses > MAX_PULSES:
-        raise profile.entry("run", "n_pulses").error(f"n_pulses must be at most {MAX_PULSES:.0e}")
     output = profile.entry("run", "output")
 
     sweep_g2 = profile.replace(QdSourceParams(0.0, 0.01), "figures", "sweep_g2", "g2").g2

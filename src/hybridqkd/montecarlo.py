@@ -4,8 +4,9 @@ Event model per pulse: draw a photon number k from the source distribution,
 thin each photon through the channel with survival probability eta, draw a
 dark count with probability y0. A click is at least one surviving photon or
 a dark count. Clicks are sifted with an unbiased coin; a sifted click errs
-with probability e_d when a photon arrived (coincidences with dark counts
-resolve in favor of the photon) and e0 for a dark-count-only click.
+with probability e_d when only a photon arrived, e0 when only a dark count
+fired and e_d + e0 when both did, so errors have the mean e0 y0 + e_d A of
+``channel.totals`` (the convention of Ma, Qi, Zhao and Lo, PRA 72, 012326).
 
 The sampler spends work only where a click can happen. Most pulses are
 vacuum and dark counts are rare, so the pulses that emit (k >= 1) and the
@@ -36,6 +37,9 @@ from .photon_stats import PhotonNumberDistribution, multiphoton_probability
 from .security import _bound_terms
 
 BLOCK_SIZE = 1 << 20
+# Largest accepted n_pulses. At tens of Mpulses/s on one core this is
+# hours of simulation; anything larger is a typo, not a run.
+MAX_PULSES = 10**12
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,8 @@ class SimConfig:
     det: DetectorModel
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise DomainError(f"n_pulses must be at least 1, got {self.n_pulses!r}")
+        if not 1 <= self.n_pulses <= MAX_PULSES:
+            raise DomainError(f"n_pulses must be in [1, {MAX_PULSES:.0e}], got {self.n_pulses!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
         if not 0.0 <= self.eta <= 1.0:
@@ -134,13 +138,20 @@ def _block_counts(rng: np.random.Generator, config: SimConfig, size: int) -> tup
     emitting, _, arrived = _photon_hits(rng, config.dist.probs, config.eta, size)
     hits = emitting[arrived]
     dark = _bernoulli_positions(rng, det.y0, size)
+    both = None  # indices into hits of the photon clicks that a dark count joins
     if hits.size and dark.size:
         at = np.minimum(np.searchsorted(hits, dark), hits.size - 1)
-        dark = dark[hits[at] != dark]  # the photon decides a coincident click
+        alone = hits[at] != dark
+        if not alone.all():  # a block without a coincidence allocates nothing more
+            both, dark = at[~alone], dark[alone]
     # one uniform per click: sifted when w < 1/2, an error when w < err_p / 2
     w = rng.random(hits.size + dark.size)
     errors = int(np.count_nonzero(w[: hits.size] < 0.5 * det.e_d))
     errors += int(np.count_nonzero(w[hits.size :] < 0.5 * det.e0))
+    if both is not None:  # err_p = e_d + e0: add w in [e_d / 2, (e_d + e0) / 2)
+        w_both = w[both]
+        extra = (w_both >= 0.5 * det.e_d) & (w_both < 0.5 * (det.e_d + det.e0))
+        errors += int(np.count_nonzero(extra))
     return w.size, int(np.count_nonzero(w < 0.5)), errors
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelModel, DetectorModel
+from .channel import ChannelModel, DetectorModel, db_to_km
 from .errors import DomainError
 from .photon_stats import (
     MU_MAX,
@@ -199,11 +199,12 @@ def skr_scan(
     rows = []
     for db in db_grid:
         ch = channel.with_attenuation(db)
+        km = db_to_km(db, channel.fiber_alpha)
         for mu in mu_laser_list:
             mixed = hybrid_distribution(base, mu)
             report = gllp_skr(mixed, ch, det)
             mu_mixed = mu_qd + mu
             ratio = mu / mu_mixed if mu_mixed > 0.0 else 0.0
             g2_mixed = g2_of(mixed) if mu_mixed > 0.0 else 0.0
-            rows.append(ScanPoint(db, ch.km, mu, mu_mixed, ratio, g2_mixed, report))
+            rows.append(ScanPoint(db, km, mu, mu_mixed, ratio, g2_mixed, report))
     return rows

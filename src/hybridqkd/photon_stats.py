@@ -141,17 +141,6 @@ def _poisson_pmf(mu: float) -> np.ndarray:
     return np.array(pmf)
 
 
-def _two_photon_weight(b: float, g2: float) -> float:
-    """p2 solving (b + p2)^2 g2 = 2 p2, on the root compatible with a
-    single-photon source."""
-    if g2 < G2_ZERO:
-        return 0.0
-    disc = 1.0 - 2.0 * g2 * b
-    if disc < 0.0:
-        raise DomainError("2 * g2 * brightness > 1: two-photon root is complex")
-    return (1.0 - g2 * b - math.sqrt(disc)) / g2
-
-
 def poisson_distribution(mu: float) -> PhotonNumberDistribution:
     """Poisson statistics p_k = e^(-mu) mu^k / k!: the vacuum with Poisson mean mu."""
     return PhotonNumberDistribution(np.array([1.0, 0.0, 0.0]), mu)
@@ -161,10 +150,11 @@ def qd_distribution(params: QdSourceParams) -> PhotonNumberDistribution:
     """Truncated quantum-dot statistics [p0, p1, p2] from brightness and g2.
 
     p2 solves (brightness + p2)^2 g2 = 2 p2, keeping the root compatible
-    with a single-photon source; p1 + p2 equals the brightness exactly.
+    with a single-photon source; p1 + p2 equals the brightness exactly. The
+    root is real because QdSourceParams holds 2 g2 brightness <= 1.
     """
-    b = params.brightness
-    p2 = _two_photon_weight(b, params.g2)
+    b, g2 = params.brightness, params.g2
+    p2 = 0.0 if g2 < G2_ZERO else (1.0 - g2 * b - math.sqrt(1.0 - 2.0 * g2 * b)) / g2
     return PhotonNumberDistribution(np.array([1.0 - b, b - p2, p2]))
 
 
@@ -216,16 +206,13 @@ def apply_loss(dist: PhotonNumberDistribution, eta: float) -> PhotonNumberDistri
 
 
 def brightness_after_loss(b0: float, g2: float, eta: float) -> float:
-    """Click probability of a QD source after transmission eta.
+    """Click probability of a QD source after transmission eta: the arrival
+    probability of its photon-number law.
 
     Losses do not simply scale the brightness: the two-photon component
     partially survives as a one-photon click, adding
     eta (1 - eta) p2 on top of eta * b0.
     """
-    if not 0.0 <= b0 <= 1.0:
-        raise DomainError(f"brightness must be in [0, 1], got {b0!r}")
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmissivity must be in [0, 1], got {eta!r}")
-    if g2 < 0.0:
-        raise DomainError(f"g2 must be nonnegative, got {g2!r}")
-    return eta * b0 + eta * (1.0 - eta) * _two_photon_weight(b0, g2)
+    return qd_distribution(QdSourceParams(b0, g2)).arrival_probability(eta)

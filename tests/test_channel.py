@@ -167,3 +167,6 @@ class TestTotals:
             DetectorModel(e_d=0.01, y0=1.0)
         with pytest.raises(DomainError):
             DetectorModel(e_d=0.01, y0=0.0, f_ec=0.9)
+        with pytest.raises(DomainError, match="e0 \\+ e_d must be at most 1"):
+            DetectorModel(e_d=0.5, y0=0.0, e0=1.0)
+        DetectorModel(e_d=0.5, y0=0.9, e0=0.5)  # e0 + e_d = 1 is allowed

@@ -34,6 +34,7 @@ def test_closed_stdout_pipe_exits_quietly(command, tmp_path):
     )
     proc.stdout.close()
     stderr = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert stderr == b""
 
@@ -162,6 +163,8 @@ class TestConfigHandling:
         # y0 derived from the dark rate divides by the repetition rate
         ("detector", "rep_rate_hz", "0", {"y0 = 1e-6": "dark_rate_hz = 1"}),
         ("source", "brightness", "2", {}),
+        # read after e_d, so the sum e0 + e_d is checked at the e0 entry
+        ("detector", "e0", "1", {"e_d = 0.01": "e_d = 0.5"}),
         ("threshold", "db", "-1", {}),
         ("threshold", "brightness", "2", {}),
         ("figures", "error_rates", "0.7", {}),
@@ -279,6 +282,18 @@ class TestOptimizeCommand:
 
 
 class TestMonteCarloCommand:
+    def test_click_with_photon_and_dark_count_errs_with_e_d_plus_e0(self, capsys):
+        # y0 = 0.1 beside a brightness-1/2 dot and e_d = 0: a tenth of the
+        # photon clicks coincide with a dark count and err with e_d + e0 = 1/2,
+        # so E_tot = e0 y0 / Q_tot = 0.05 / 0.55 = 0.0909
+        argv = ["montecarlo", "-c", "ideal", "--detector.y0=0.1", "--channel.db=0",
+                "--laser.mu=0", "--run.n_pulses=1000000"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["pass"] == "true"
+        assert float(cells["e_tot_hat"]) == pytest.approx(0.0909, abs=0.002)
+
     def test_repeated_seed_identical_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["montecarlo", "-c", TINY, "--run.n_pulses=20000", "--channel.db=0,5"]

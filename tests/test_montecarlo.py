@@ -20,7 +20,9 @@ from hybridqkd import (
     simulate,
 )
 from hybridqkd.channel import totals
-from hybridqkd.montecarlo import BLOCK_SIZE, _bernoulli_positions, _block_rng, _photon_hits
+from hybridqkd.montecarlo import (
+    BLOCK_SIZE, MAX_PULSES, _bernoulli_positions, _block_rng, _photon_hits,
+)
 
 TABLE1_DET = DetectorModel(e_d=0.008, y0=196 / 81.96e6)
 
@@ -78,13 +80,23 @@ class TestSimulate:
 
     def test_coincident_dark_count_adds_no_click(self):
         # every pulse has a photon hit and about half also have a dark count; a
-        # dark count counted apart from its photon would add a click and, with
-        # e0 = 1, an error
+        # dark count counted apart from its photon would add a click. A click
+        # with both errs with probability e_d + e0 = 1, so E_tot = e0 y0 = 1/2.
         dist = PhotonNumberDistribution([0.0, 1.0, 0.0])
         det = DetectorModel(e_d=0.0, y0=0.5, e0=1.0)
         tally = simulate(SimConfig(100_000, 5, dist, 1.0, det))
         assert tally.n_clicks == tally.n_pulses
-        assert tally.n_errors == 0
+        _, e_tot = totals(dist, 1.0, det)
+        assert abs(tally.e_tot_hat - e_tot) <= 3.0 * tally.stderr_e
+
+    def test_coincident_click_errs_with_e_d_plus_e0(self):
+        # half the photon clicks coincide with a dark count and err with
+        # e_d + e0 = 0.7, the others with e_d = 0.2: E_tot = e0 y0 + e_d = 0.45
+        dist = PhotonNumberDistribution([0.0, 1.0, 0.0])
+        det = DetectorModel(e_d=0.2, y0=0.5, e0=0.5)
+        tally = simulate(SimConfig(100_000, 9, dist, 1.0, det))
+        _, e_tot = totals(dist, 1.0, det)
+        assert abs(tally.e_tot_hat - e_tot) <= 3.0 * tally.stderr_e
 
     def test_extra_block_leaves_earlier_blocks_unchanged(self):
         dist, det = table1_hybrid(0.269), DetectorModel(e_d=0.05, y0=1e-3)
@@ -118,6 +130,8 @@ class TestSimulate:
         dist = table1_hybrid(0.0)
         with pytest.raises(DomainError):
             SimConfig(0, 1, dist, 0.5, TABLE1_DET)
+        with pytest.raises(DomainError):
+            SimConfig(MAX_PULSES + 1, 1, dist, 0.5, TABLE1_DET)
         with pytest.raises(DomainError):
             SimConfig(100, -1, dist, 0.5, TABLE1_DET)
         with pytest.raises(DomainError):

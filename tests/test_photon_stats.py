@@ -265,6 +265,8 @@ class TestBrightnessAfterLoss:
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             brightness_after_loss(0.9, 0.6, 0.5)
+        with pytest.raises(DomainError):  # g2 >= 1/2, though 2 g2 b0 <= 1
+            brightness_after_loss(0.5, 0.6, 0.5)
         with pytest.raises(DomainError):
             brightness_after_loss(0.5, 0.02, 1.5)
 
