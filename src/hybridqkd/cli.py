@@ -88,10 +88,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _optimize_rows(cfg: RunConfig, db_grid) -> list[tuple]:
+def _optimize_rows(cfg: RunConfig) -> list[tuple]:
     laser_only = QdSourceParams(0.0, 0.0)
     rows = []
-    for db in db_grid:
+    for db in cfg.db_grid:
         best = optimize_mu_laser(cfg.source, db, cfg.channel, cfg.detector)
         qd_only = qd_only_skr(cfg.source, db, cfg.channel, cfg.detector)
         laser_best = optimize_mu_laser(laser_only, db, cfg.channel, cfg.detector)
@@ -106,16 +106,16 @@ def _optimize_rows(cfg: RunConfig, db_grid) -> list[tuple]:
 
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
-    _write_csv(OPTIMIZE_COLUMNS, _optimize_rows(cfg, cfg.db_grid), args.out or cfg.output)
+    _write_csv(OPTIMIZE_COLUMNS, _optimize_rows(cfg), args.out or cfg.output)
     return 0
 
 
-def _optimum_rows(cfg: RunConfig, cases, db_grid) -> list[tuple]:
+def _optimum_rows(cfg: RunConfig, cases) -> list[tuple]:
     """(label, db, km, mu_laser_opt, ratio_opt, skr_opt) for every
     (label, source, detector) case and attenuation, in that order."""
     rows = []
     for label, qd, det in cases:
-        for db in db_grid:
+        for db in cfg.db_grid:
             best = optimize_mu_laser(qd, db, cfg.channel, det)
             rows.append(
                 (
@@ -126,10 +126,10 @@ def _optimum_rows(cfg: RunConfig, cases, db_grid) -> list[tuple]:
     return rows
 
 
-def threshold_grid_rows(cfg: RunConfig, brightnesses, db_grid) -> list[tuple]:
+def threshold_grid_rows(cfg: RunConfig, brightnesses) -> list[tuple]:
     """Optimal admixture per brightness and attenuation; brightness 0 is laser-only."""
     cases = ((b, QdSourceParams(b, cfg.source.g2), cfg.detector) for b in brightnesses)
-    return _optimum_rows(cfg, cases, db_grid)
+    return _optimum_rows(cfg, cases)
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
@@ -140,7 +140,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
     print(f"crossover_db = {crossover}")
     print(f"unconditional_advantage_brightness = {_format_value(unconditional)}")
     print(f"laser_beat_brightness = {_format_value(laser_beat)}")
-    rows = threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db)
+    rows = threshold_grid_rows(cfg, cfg.threshold_brightness)
     out = args.out or cfg.output
     if out is None:
         print()
@@ -194,30 +194,41 @@ def cmd_montecarlo(cfg: RunConfig, args) -> int:
     return 0
 
 
+# Sweeps of the supplementary figures: valid sources on every profile the
+# loader accepts, so not profile keys (README, "Profiles", gives other sweeps).
+SUPP_BRIGHTNESS = [0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+SUPP_SWEEP_G2 = 0.01
+SUPP_MU_BRIGHTNESS = [0.0, 0.0409, 0.1, 0.2, 0.3, 0.45]
+
+
+def _checked_defaults(key: str, values: list[float], build) -> list:
+    """[build(v) for v in values]. Values that a profile gave passed this
+    check at load, so a rejected one is a default of [figures] key."""
+    try:
+        return [build(v) for v in values]
+    except DomainError as exc:
+        raise ConfigError(f"default [figures] {key}: {exc}") from None
+
+
 def figure_tables(cfg: RunConfig) -> list[tuple[str, list[str], list[tuple]]]:
     """(file name, columns, rows) of each reproduced figure."""
-    # Distance scalings for fixed mixing ratios. Given ratios passed this
-    # check at load, so a rejected one is a default.
     mu_qd = mean_photon_number(qd_distribution(cfg.source))
-    try:
-        mu_values = [ratio_to_mu(r, mu_qd) for r in cfg.figure_ratios]
-    except DomainError as exc:
-        raise ConfigError(f"default [figures] ratios: {exc}") from None
+    mu_values = _checked_defaults("ratios", cfg.figure_ratios, lambda r: ratio_to_mu(r, mu_qd))
+    # (label, source, detector) cases for the misalignment error-rate sweep.
+    error_cases = _checked_defaults(
+        "error_rates", cfg.figure_error_rates,
+        lambda e_d: (e_d, cfg.source, dataclasses.replace(cfg.detector, e_d=e_d)),
+    )
+
+    # Distance scalings for fixed mixing ratios.
     points = skr_scan(cfg.source, mu_values, cfg.db_grid, cfg.channel, cfg.detector)
     labels = cfg.figure_ratios * len(cfg.db_grid)
     fig2 = [(label,) + _scan_row(p) for label, p in zip(labels, points)]
 
-    # Optimized distance scaling for a range of misalignment error rates.
-    error_cases = (
-        (e_d, cfg.source, dataclasses.replace(cfg.detector, e_d=e_d))
-        for e_d in cfg.figure_error_rates
-    )
-
     # Single-photon-only distance scaling for a range of brightnesses.
     brightness_rows = []
-    for brightness in cfg.figure_brightness:
-        qd = QdSourceParams(brightness, cfg.figure_sweep_g2)
-        dist = qd_distribution(qd)
+    for brightness in SUPP_BRIGHTNESS:
+        dist = qd_distribution(QdSourceParams(brightness, SUPP_SWEEP_G2))
         for db in cfg.db_grid:
             try:
                 report = gllp_skr(dist, cfg.channel.with_attenuation(db), cfg.detector)
@@ -229,19 +240,19 @@ def figure_tables(cfg: RunConfig) -> list[tuple[str, list[str], list[tuple]]]:
 
     # Optimal laser mean photon number for several brightnesses (0 = laser
     # only), without the ratio column.
-    mu_rows = threshold_grid_rows(cfg, cfg.figure_mu_brightness, cfg.db_grid)
+    mu_rows = threshold_grid_rows(cfg, SUPP_MU_BRIGHTNESS)
     return [
         ("fig2_skr_vs_attenuation.csv", ["ratio_label"] + SCAN_COLUMNS, fig2),
         # Optimized admixture, purity, and SKR against attenuation.
-        ("fig3_optimized_scaling.csv", OPTIMIZE_COLUMNS, _optimize_rows(cfg, cfg.db_grid)),
+        ("fig3_optimized_scaling.csv", OPTIMIZE_COLUMNS, _optimize_rows(cfg)),
         # Optimal ratio over the brightness x attenuation plane.
         (
             "fig4a_optimal_ratio_grid.csv", THRESHOLD_COLUMNS,
-            threshold_grid_rows(cfg, cfg.threshold_brightness, cfg.threshold_db),
+            threshold_grid_rows(cfg, cfg.threshold_brightness),
         ),
         (
             "supp_error_rate_sweep.csv", ["e_d"] + THRESHOLD_COLUMNS[1:],
-            _optimum_rows(cfg, error_cases, cfg.db_grid),
+            _optimum_rows(cfg, error_cases),
         ),
         (
             "supp_brightness_sweep.csv", ["brightness", "db", "km", "skr_per_pulse", "clamped"],

@@ -42,16 +42,12 @@ _KNOWN_KEYS = {
     "channel": {"db", "km", "alpha", "eta0"},
     "detector": {"e_d", "y0", "dark_rate_hz", "e0", "f_ec", "rep_rate_hz"},
     "run": {"n_pulses", "seed", "output"},
-    "threshold": {"brightness", "db"},
-    "figures": {"ratios", "error_rates", "brightness", "mu_brightness", "sweep_g2"},
+    "threshold": {"brightness"},
+    "figures": {"ratios", "error_rates"},
 }
 
 _DEFAULT_FIGURE_RATIOS = [0.0, 0.2, 0.4, 0.6, 0.868]
 _DEFAULT_ERROR_RATES = [0.0001, 0.005, 0.01, 0.02, 0.05]
-_DEFAULT_FIGURE_BRIGHTNESS = [
-    0.01, 0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
-]
-_DEFAULT_MU_BRIGHTNESS = [0.0, 0.0409, 0.1, 0.2, 0.3, 0.45]
 
 
 @dataclass
@@ -67,12 +63,8 @@ class RunConfig:
     seed: int
     output: str | None
     threshold_brightness: list[float]
-    threshold_db: list[float]
     figure_ratios: list[float]
     figure_error_rates: list[float]
-    figure_brightness: list[float]
-    figure_mu_brightness: list[float]
-    figure_sweep_g2: float
 
 
 def ratio_to_mu(ratio: float, mu_qd: float) -> float:
@@ -243,8 +235,6 @@ def build_run_config(profile: _Profile) -> RunConfig:
             sim = entry.check(dataclasses.replace, sim, **{key: entry.integer()})
     output = profile.entry("run", "output")
 
-    sweep_g2 = profile.replace(QdSourceParams(0.0, 0.01), "figures", "sweep_g2", "g2").g2
-    with_source_g2 = partial(QdSourceParams, g2=source.g2)
     mu_qd = mean_photon_number(qd_distribution(source))
     return RunConfig(
         source=source,
@@ -256,9 +246,9 @@ def build_run_config(profile: _Profile) -> RunConfig:
         seed=sim.seed,
         output=output.raw if output else None,
         threshold_brightness=profile.numbers(
-            "threshold", "brightness", [i * 0.05 for i in range(21)], with_source_g2
+            "threshold", "brightness", [i * 0.05 for i in range(21)],
+            partial(QdSourceParams, g2=source.g2),
         ),
-        threshold_db=profile.numbers("threshold", "db", db_grid, db_to_transmissivity),
         figure_ratios=profile.numbers(
             "figures", "ratios", _DEFAULT_FIGURE_RATIOS, partial(ratio_to_mu, mu_qd=mu_qd)
         ),
@@ -266,14 +256,6 @@ def build_run_config(profile: _Profile) -> RunConfig:
             "figures", "error_rates", _DEFAULT_ERROR_RATES,
             lambda e_d: dataclasses.replace(detector, e_d=e_d),
         ),
-        figure_brightness=profile.numbers(
-            "figures", "brightness", _DEFAULT_FIGURE_BRIGHTNESS,
-            partial(QdSourceParams, g2=sweep_g2),
-        ),
-        figure_mu_brightness=profile.numbers(
-            "figures", "mu_brightness", _DEFAULT_MU_BRIGHTNESS, with_source_g2
-        ),
-        figure_sweep_g2=sweep_g2,
     )
 
 

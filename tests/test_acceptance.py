@@ -27,7 +27,7 @@ from hybridqkd import (
     qd_distribution,
     unconditional_advantage_brightness,
 )
-from hybridqkd.cli import MONTECARLO_COLUMNS, _format_value, montecarlo_rows
+from hybridqkd.cli import MONTECARLO_COLUMNS, SUPP_BRIGHTNESS, _format_value, montecarlo_rows
 from hybridqkd.config import load_config
 
 
@@ -205,7 +205,7 @@ def test_criterion_9_nonmonotone_distance(table1):
     start = time.perf_counter()
     db_grid = np.arange(0.0, 60.01, 0.25)
     best = {}
-    for brightness in load_config("table1").figure_brightness:
+    for brightness in SUPP_BRIGHTNESS:
         dist = qd_distribution(QdSourceParams(brightness, 0.01))
         positive = [
             db for db in db_grid

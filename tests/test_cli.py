@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ def test_cli_import_leaves_scipy_out():
 
 
 @pytest.mark.parametrize("command", [
-    ["threshold", "-c", "ideal", "--threshold.brightness=0", "--threshold.db=0"],
+    ["threshold", "-c", "ideal", "--threshold.brightness=0", "--channel.db=0"],
     ["figures", "-c", TINY, "--channel.db=0", "--threshold.brightness=0"],
 ])
 def test_closed_stdout_pipe_exits_quietly(command, tmp_path):
@@ -165,7 +166,6 @@ class TestConfigHandling:
         ("source", "brightness", "2", {}),
         # read after e_d, so the sum e0 + e_d is checked at the e0 entry
         ("detector", "e0", "1", {"e_d = 0.01": "e_d = 0.5"}),
-        ("threshold", "db", "-1", {}),
         ("threshold", "brightness", "2", {}),
         ("figures", "error_rates", "0.7", {}),
         ("figures", "ratios", "1", {}),
@@ -219,9 +219,25 @@ class TestConfigHandling:
         key = target.split(".", 1)[1]
         assert capsys.readouterr().err == f"error: {target}: empty value for '{key}'\n"
 
-    def test_removed_laser_optimize_key_is_unknown(self, capsys):
-        assert main(["scan", "-c", TINY, "--laser.optimize=1"]) == 2
-        assert "unknown override --laser.optimize" in capsys.readouterr().err
+    @pytest.mark.parametrize("section,key", [
+        ("laser", "optimize"),
+        # fixed sweeps that every accepted profile can run
+        ("threshold", "db"),
+        ("figures", "brightness"),
+        ("figures", "mu_brightness"),
+        ("figures", "sweep_g2"),
+    ])
+    def test_removed_laser_optimize_key_is_unknown(self, section, key, tmp_path, capsys):
+        assert main(["scan", "-c", TINY, f"--{section}.{key}=1"]) == 2
+        assert f"unknown override --{section}.{key}" in capsys.readouterr().err
+        text = Path(TINY).read_text()
+        profile = tmp_path / "removed.profile"
+        profile.write_text(text + f"[{section}]\n{key} = 1\n")
+        assert main(["scan", "-c", str(profile)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {profile}:{len(text.splitlines()) + 2}: "
+            f"unknown key '{key}' in section [{section}]\n"
+        )
 
     def test_malformed_override_rejected(self, capsys):
         assert main(["scan", "-c", TINY, "--bogus"]) == 2
@@ -237,6 +253,19 @@ class TestConfigHandling:
     def test_bundled_profiles_load(self, capsys):
         assert main(["scan", "-c", "table1", "--channel.db=0", "--laser.mu=0"]) == 0
         assert main(["scan", "-c", "ideal", "--channel.db=0", "--laser.mu=0"]) == 0
+
+    def test_readme_profile_grammar_lists_the_known_keys(self):
+        from hybridqkd.config import _KNOWN_KEYS
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed = {}
+        # one [section] line each, with its indented continuation lines
+        for entry in re.split(r"^(?=\[)", block, flags=re.M)[1:]:
+            section, keys = entry[1:].split("]", 1)
+            keys = re.sub(r"\([^)]*\)", "", keys).replace("exactly one of", "")
+            listed[section] = {key.strip() for key in re.split(r"[,|]", keys)}
+        assert listed == _KNOWN_KEYS
 
     def test_table1_qd_curve_dies_near_30db(self, capsys):
         assert main(["scan", "-c", "table1", "--laser.mu=0"]) == 0
@@ -348,7 +377,7 @@ class TestThresholdCommand:
         code = main(
             [
                 "threshold", "-c", "ideal", "-o", str(out),
-                "--threshold.brightness=0,0.5", "--threshold.db=0,10",
+                "--threshold.brightness=0,0.5", "--channel.db=0,10",
             ]
         )
         assert code == 0
@@ -384,9 +413,7 @@ class TestFiguresCommand:
                 "figures", "-c", TINY, "--outdir", str(tmp_path / "figs"),
                 "--channel.db=0,5",
                 "--figures.ratios=0,0.5",
-                "--figures.brightness=0.04,1.0",
                 "--figures.error_rates=0.01",
-                "--figures.mu_brightness=0,0.04",
                 "--threshold.brightness=0,0.5",
             ]
         )
@@ -403,14 +430,18 @@ class TestFiguresCommand:
         fig2 = (tmp_path / "figs" / "fig2_skr_vs_attenuation.csv").read_text().splitlines()
         assert fig2[0].startswith("ratio_label,db,km,mu_laser")
 
-    def test_default_ratio_out_of_range_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,key,value", [
         # the default ratio 0.868 needs mu = 6.6 mu_qd, above MU_MAX on this source
+        (["-c", "table1", "--source.brightness=0.9"], "ratios", "0.868"),
+        # the default error rate 0.05 gives e0 + e_d = 1.02
+        (["-c", "ideal", "--detector.e0=0.97", "--channel.db=0"], "error_rates", "1.02"),
+    ])
+    def test_default_ratio_out_of_range_writes_nothing(self, argv, key, value, tmp_path, capsys):
         outdir = tmp_path / "figs"
-        argv = ["figures", "-c", "table1", "--source.brightness=0.9", "--outdir", str(outdir)]
-        assert main(argv) == 2
+        assert main(["figures", *argv, "--outdir", str(outdir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: default [figures] ratios: ")
-        assert "0.868" in err
+        assert err.startswith(f"error: default [figures] {key}: ")
+        assert value in err
         assert "Traceback" not in err
         assert not outdir.exists()
 
@@ -438,8 +469,7 @@ class TestFiguresCommand:
             [
                 "figures", "-c", TINY, "--outdir", str(figdir),
                 "--figures.ratios=0", "--threshold.brightness=0",
-                "--figures.brightness=0.04", "--figures.error_rates=0.01",
-                "--figures.mu_brightness=0",
+                "--figures.error_rates=0.01",
             ]
         ) == 0
         capsys.readouterr()  # drop the printed file list

@@ -12,6 +12,8 @@ which is exact when mixing that helps at some loss also helps at less.
 Where the bare dot has a key, "mixing helps" reads only the slope at mu = 0,
 so it must agree with the optimizer's own answer.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from hybridqkd import ChannelModel, DetectorModel, QdSourceParams, optimize
 from hybridqkd.optimize import (
     _clamped_skr,
     _mixes,
+    crossover_attenuation,
     laser_beat_brightness,
     optimize_mu_laser,
     qd_only_skr,
@@ -196,3 +199,62 @@ def test_unconditional_brightness_matches_four_probe_search(g2, setup):
     ch, det = setup
     expected = four_probe_unconditional_brightness(g2, det, ch)
     assert unconditional_advantage_brightness(g2, det, ch) == expected
+
+
+def _first_nonpositive(fn, lo, hi):
+    """First float in [lo, hi] where fn, positive at lo, is not positive; hi
+    when fn stays positive there. Bisected to adjacent floats."""
+    if fn(hi) > 0.0:
+        return hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _laser_optimum(eta):
+    """mu* with eta e^(-eta mu) = mu e^(-mu), the optimal mu of the noiseless
+    laser: Newton on log(mu) - (1 - eta) mu - log(eta), which is concave and
+    not positive at mu = eta, so the steps rise to the root from below."""
+    mu = eta
+    for _ in range(100):
+        step = (math.log(mu) - (1.0 - eta) * mu - math.log(eta)) / (1.0 / mu - (1.0 - eta))
+        if step == 0.0:
+            break
+        mu -= step
+    return mu
+
+
+# Noiseless detection (e_d = y0 = 0), where the three thresholds are closed
+# forms, as the README's "Advantage thresholds in the noiseless limit" says.
+# The SKR is then (A - p_m) / 2, and at 0 dB (eta = eta0) its slope at
+# mu = 0 is eta (1 - eta f1 - eta (2 - eta) f2) - f1.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(g2s, st.floats(0.05, 1.0), st.floats(0.01, 0.45))
+def test_noiseless_thresholds_match_closed_forms(g2, eta0, b):
+    ch, det = ChannelModel(eta0=eta0), DetectorModel(e_d=0.0, y0=0.0)
+
+    def slope_at_zero(brightness):
+        f1, f2 = qd_distribution(QdSourceParams(brightness, g2)).f[1:].tolist()
+        return eta0 * (1.0 - eta0 * f1 - eta0 * (2.0 - eta0) * f2) - f1
+
+    unconditional = _first_nonpositive(slope_at_zero, 0.0, 1.0)
+    found = unconditional_advantage_brightness(g2, det, ch)
+    assert found == pytest.approx(unconditional, abs=1e-12)
+
+    # At g2 = 0 mixing helps above eta_x = (1 - sqrt(1 - 4 b^2)) / (2 b),
+    # written here without the cancellation.
+    eta_x = 2.0 * b / (1.0 + math.sqrt(1.0 - 4.0 * b * b))
+    crossover = crossover_attenuation(QdSourceParams(b, 0.0), ch, det)
+    if eta0 <= eta_x:
+        assert crossover is None
+    else:
+        assert crossover == pytest.approx(10.0 * math.log10(eta0 / eta_x), abs=1e-9)
+
+    # At g2 = 0 the bare dot's SKR is eta0 b / 2, so it beats the best laser
+    # above (A - p_m) / eta0 at the laser optimum.
+    mu = _laser_optimum(eta0)
+    a, p_m = -math.expm1(-eta0 * mu), 1.0 - math.exp(-mu) * (1.0 + mu)
+    assert laser_beat_brightness(0.0, det, ch) == pytest.approx((a - p_m) / eta0, abs=1e-12)
