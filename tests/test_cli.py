@@ -311,6 +311,14 @@ class TestOptimizeCommand:
 
 
 class TestMonteCarloCommand:
+    def test_golden_file(self, tmp_path):
+        # three blocks per cell, the last one partial, and a long k tail at mu = 5
+        out = tmp_path / "montecarlo.csv"
+        argv = ["montecarlo", "-c", "table1", "--channel.db=0,20", "--laser.mu=0,0.269,5",
+                "--run.n_pulses=2500000", "--run.seed=20260810", "-o", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "montecarlo_golden.csv").read_bytes()
+
     def test_click_with_photon_and_dark_count_errs_with_e_d_plus_e0(self, capsys):
         # y0 = 0.1 beside a brightness-1/2 dot and e_d = 0: a tenth of the
         # photon clicks coincide with a dark count and err with e_d + e0 = 1/2,

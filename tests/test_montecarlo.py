@@ -21,7 +21,7 @@ from hybridqkd import (
 )
 from hybridqkd.channel import totals
 from hybridqkd.montecarlo import (
-    BLOCK_SIZE, MAX_PULSES, _bernoulli_positions, _block_rng, _photon_hits,
+    BLOCK_SIZE, MAX_PULSES, _bernoulli_positions, _block_counts, _block_rng, _photon_hits,
 )
 
 TABLE1_DET = DetectorModel(e_d=0.008, y0=196 / 81.96e6)
@@ -136,6 +136,26 @@ class TestSimulate:
             SimConfig(100, -1, dist, 0.5, TABLE1_DET)
         with pytest.raises(DomainError):
             SimConfig(100, 1, dist, 1.5, TABLE1_DET)
+
+
+# (clicks, sifted, errors) of one block, recorded from the sampler as first
+# written: any change to the draws, their order or the tallies shows here.
+RECORDED_BLOCKS = {
+    "opaque channel": (0.269, 0.0, DetectorModel(e_d=0.05, y0=1e-3), BLOCK_SIZE, 1,
+                       (1072, 548, 259)),
+    "lossless channel": (0.269, 1.0, TABLE1_DET, BLOCK_SIZE, 2, (279597, 139954, 1141)),
+    "long k tail": (5.0, 0.5, TABLE1_DET, BLOCK_SIZE, 3, (964434, 481676, 3868)),
+    "coincidences": (0.269, 0.5, DetectorModel(e_d=0.05, y0=0.2), BLOCK_SIZE, 4,
+                     (330158, 165717, 56374)),
+    "partial block": (0.269, 0.3, DetectorModel(e_d=0.05, y0=1e-3), 777, 5, (64, 24, 1)),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_BLOCKS)
+def test_block_counts_keep_the_recorded_stream(case):
+    mu, eta, det, size, block, expected = RECORDED_BLOCKS[case]
+    config = SimConfig(size, 0, table1_hybrid(mu), eta, det)
+    assert _block_counts(_block_rng(20260810, block), config, size) == expected
 
 
 class TestOracleAgreement:
