@@ -23,6 +23,15 @@ P(error | sifted) = err_p, the joint law of two independent coins.
 Pulses are processed in blocks of 2^20, each with its own counter-based
 substream (Philox keyed through SeedSequence spawn keys), so tallies are
 bit-identical for a fixed seed regardless of how blocks are executed.
+Within a block the draws come in a fixed order: the emission gaps, one
+uniform per emission for k, one Geometric(eta) per emission, the dark-count
+gaps, and one uniform per click, photon clicks first. The k, arrival and
+click draws are taken in chunks of ``CHUNK``. A Generator fills an array one
+element after another and Philox keeps its buffered outputs in its state
+between calls, so n draws taken in chunks are the n draws of one call, and
+the chunk size does not change the stream. A block keeps only the emitting
+positions (int64), k - 1 (uint8 for every Fock vector shorter than 256) and
+an arrival mask: about 10 bytes per emitting pulse, plus one chunk of draws.
 """
 from __future__ import annotations
 
@@ -37,8 +46,12 @@ from .photon_stats import PhotonNumberDistribution, multiphoton_probability
 from .security import _bound_terms
 
 BLOCK_SIZE = 1 << 20
-# Largest accepted n_pulses. At tens of Mpulses/s on one core this is
-# hours of simulation; anything larger is a typo, not a run.
+# Draws per call within a block: the size of the per-chunk temporaries.
+CHUNK = 1 << 15
+# Largest accepted n_pulses. One core simulates about 150 Mpulses/s over
+# the benchmark's montecarlo-cells (0 to 20 dB) and 70 Mpulses/s at 0 dB and
+# mu = 0.269, where a quarter of the pulses emit (Xeon, numpy 2.4), so this is
+# two to four hours of simulation; anything larger is a typo, not a run.
 MAX_PULSES = 10**12
 
 
@@ -107,7 +120,8 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.nd
 def _photon_hits(
     rng: np.random.Generator, probs: np.ndarray, eta: float, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one block's emissions: pulse indices, photon numbers, arrival flags.
+    """Draw one block's emissions: pulse indices, photon numbers minus one,
+    arrival flags.
 
     Pulses with k >= 1 photons are the successes of Bernoulli(1 - p0) trials;
     each draws k from ``probs[1:] / (1 - p0)``. At least one of k photons
@@ -118,41 +132,72 @@ def _photon_hits(
     emitting = _bernoulli_positions(rng, p_emit, size)
     cdf = tail / p_emit if p_emit > 0.0 else tail
     cdf[-1] = 1.0  # guard float shortfall so sampling never runs past the vector
-    k = np.searchsorted(cdf, rng.random(emitting.size), side="right")
-    k += 1
+    extra = _extra_photons(rng, cdf, emitting.size)
+    return emitting, extra, _arrivals(rng, eta, extra)
+
+
+def _extra_photons(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """k - 1 for n emissions, k drawn by inverting the conditional CDF over
+    k >= 1, in an unsigned type that also holds k."""
+    extra = np.zeros(n, dtype=np.min_scalar_type(cdf.size))
+    buf = np.empty(min(n, CHUNK))  # every chunk's uniforms, so no two chunks coexist
+    for start in range(0, n, CHUNK):
+        u = rng.random(out=buf[: n - start])
+        multi = u >= cdf[0]  # k >= 2: rare, so only these go through searchsorted
+        extra[start : start + u.size][multi] = np.searchsorted(cdf, u[multi], side="right")
+    return extra
+
+
+def _arrivals(rng: np.random.Generator, eta: float, extra: np.ndarray) -> np.ndarray:
+    """Whether some photon of each emission arrives: the first survivor's
+    index, Geometric(eta), is at most k."""
     if eta >= 1.0:
-        arrived = np.ones(k.size, dtype=bool)
-    elif eta > 0.0:
-        arrived = rng.geometric(eta, k.size) <= k
-    else:
-        arrived = np.zeros(k.size, dtype=bool)
-    return emitting, k, arrived
+        return np.ones(extra.size, dtype=bool)
+    if eta <= 0.0:
+        return np.zeros(extra.size, dtype=bool)
+    arrived = np.empty(extra.size, dtype=bool)
+    for start in range(0, extra.size, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        k = extra[chunk] + 1
+        np.less_equal(rng.geometric(eta, k.size), k, out=arrived[chunk])
+    return arrived
 
 
 def _block_counts(rng: np.random.Generator, config: SimConfig, size: int) -> tuple[int, int, int]:
     """Clicks, sifted clicks and errors among one block of ``size`` pulses.
 
     A function of its own, so that none of the block's arrays outlives it.
+    Photon clicks are counted in place in the arrival mask, never copied out.
     """
     det = config.det
     emitting, _, arrived = _photon_hits(rng, config.dist.probs, config.eta, size)
-    hits = emitting[arrived]
     dark = _bernoulli_positions(rng, det.y0, size)
-    both = None  # indices into hits of the photon clicks that a dark count joins
-    if hits.size and dark.size:
-        at = np.minimum(np.searchsorted(hits, dark), hits.size - 1)
-        alone = hits[at] != dark
-        if not alone.all():  # a block without a coincidence allocates nothing more
-            both, dark = at[~alone], dark[alone]
-    # one uniform per click: sifted when w < 1/2, an error when w < err_p / 2
-    w = rng.random(hits.size + dark.size)
-    errors = int(np.count_nonzero(w[: hits.size] < 0.5 * det.e_d))
-    errors += int(np.count_nonzero(w[hits.size :] < 0.5 * det.e0))
-    if both is not None:  # err_p = e_d + e0: add w in [e_d / 2, (e_d + e0) / 2)
-        w_both = w[both]
-        extra = (w_both >= 0.5 * det.e_d) & (w_both < 0.5 * (det.e_d + det.e0))
-        errors += int(np.count_nonzero(extra))
-    return w.size, int(np.count_nonzero(w < 0.5)), errors
+    both = dark[:0]  # emitting indices of the photon clicks that a dark count joins
+    if emitting.size and dark.size:
+        at = np.minimum(np.searchsorted(emitting, dark), emitting.size - 1)
+        both = at[(emitting[at] == dark) & arrived[at]]
+    n_alone = dark.size - both.size
+    # one uniform per click, photon clicks first: sifted when w < 1/2, an error
+    # when w < err_p / 2
+    sifted = errors = 0
+    buf = np.empty(CHUNK)  # every chunk's uniforms, so no two chunks coexist
+    for start in range(0, emitting.size, CHUNK):
+        hit = arrived[start : start + CHUNK]
+        w = rng.random(out=buf[: np.count_nonzero(hit)])
+        sifted += int(np.count_nonzero(w < 0.5))
+        errors += int(np.count_nonzero(w < 0.5 * det.e_d))
+        lo, hi = np.searchsorted(both, (start, start + CHUNK))
+        if hi > lo:  # err_p = e_d + e0: add w in [e_d / 2, (e_d + e0) / 2)
+            joined = np.zeros(hit.size, dtype=bool)
+            joined[both[lo:hi] - start] = True
+            w_both = w[joined[hit]]
+            extra = (w_both >= 0.5 * det.e_d) & (w_both < 0.5 * (det.e_d + det.e0))
+            errors += int(np.count_nonzero(extra))
+    for start in range(0, n_alone, CHUNK):
+        w = rng.random(out=buf[: n_alone - start])
+        sifted += int(np.count_nonzero(w < 0.5))
+        errors += int(np.count_nonzero(w < 0.5 * det.e0))
+    return int(np.count_nonzero(arrived)) + n_alone, sifted, errors
 
 
 def simulate(config: SimConfig) -> SimTally:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from hybridqkd import (
     simulate,
 )
 from hybridqkd.channel import totals
+from hybridqkd.config import load_config
 from hybridqkd.montecarlo import (
     BLOCK_SIZE, MAX_PULSES, _bernoulli_positions, _block_counts, _block_rng, _photon_hits,
 )
@@ -158,6 +160,22 @@ def test_block_counts_keep_the_recorded_stream(case):
     assert _block_counts(_block_rng(20260810, block), config, size) == expected
 
 
+def test_one_block_peaks_below_four_megabytes():
+    # table1 at 0 dB and mu = 0.269: about 283 k of the 2^20 pulses emit, and the
+    # block keeps about 10 bytes for each of them, plus one chunk of draws
+    cfg = load_config("table1", {("channel", "db"): "0", ("laser", "mu"): "0.269"})
+    dist = hybrid_distribution(qd_distribution(cfg.source), 0.269)
+    config = SimConfig(BLOCK_SIZE, cfg.seed, dist, cfg.channel.transmissivity, cfg.detector)
+    _block_counts(_block_rng(cfg.seed, 1), config, 1000)  # first-use allocations, Fock vector
+    tracemalloc.start()
+    try:
+        _block_counts(_block_rng(cfg.seed, 0), config, BLOCK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("db,mu", [(2.0, 0.0), (10.0, 0.1)])
     def test_totals_within_three_sigma(self, db, mu):
@@ -174,13 +192,15 @@ class TestOracleAgreement:
         dist = table1_hybrid(0.3)
         eta = 0.6
         n = 1_000_000
-        _, k, arrived = _photon_hits(_block_rng(7, 0), dist.probs, eta, n)
+        _, extra, arrived = _photon_hits(_block_rng(7, 0), dist.probs, eta, n)
         ks = np.arange(dist.probs.size)
         expected = n * np.append(
             apply_loss(dist, eta).probs[0], (dist.probs * (1.0 - (1.0 - eta) ** ks))[1:]
         )
         assert expected.sum() == pytest.approx(n, rel=1e-12)
-        observed = np.append(n - arrived.sum(), np.bincount(k[arrived], minlength=ks.size)[1:])
+        observed = np.append(
+            n - arrived.sum(), np.bincount(extra[arrived], minlength=ks.size - 1)
+        )
         keep = expected > 10.0  # pool sparse tail bins for a valid chi-square
         obs = np.append(observed[keep], observed[~keep].sum())
         exp = np.append(expected[keep], expected[~keep].sum())
