@@ -21,7 +21,7 @@ from .photon_stats import (
     mean_photon_number,
     qd_distribution,
 )
-from .security import SkrReport, _skr_rising, gllp_skr
+from .security import SkrReport, _qd_skr_rising, _skr_rising, gllp_skr
 
 DB_MAX = 60.0
 
@@ -169,17 +169,24 @@ def unconditional_advantage_brightness(
 def laser_beat_brightness(
     g2: float, det: DetectorModel, channel: ChannelModel
 ) -> float:
-    """Collected brightness above which the bare quantum-dot SKR exceeds the
-    best laser-only SKR at zero applied attenuation.
+    """Smallest collected brightness at which the bare quantum-dot SKR exceeds
+    the best laser-only SKR at zero applied attenuation; 1 when none does.
 
-    The search assumes the bare-dot SKR does not fall as brightness rises.
-    Where g2 is large against eta0 it can, and a window of brightness in
-    which the dot wins, closed before brightness 1, is reported as 1.
+    The bare-dot SKR is unimodal in brightness (tests/test_search_properties.py
+    checks this): it rises up to B_peak, the root of its slope in brightness,
+    and falls beyond. So the dot wins, if anywhere, on a window around B_peak,
+    whose lower edge is bisected in [0, B_peak].
     """
     laser_best = optimize_mu_laser(QdSourceParams(0.0, 0.0), 0.0, channel, det).skr_opt
-    return _boundary(
-        lambda b: qd_only_skr(QdSourceParams(b, g2), 0.0, channel, det) <= laser_best, 0.0, 1.0
-    )
+    eta = channel.with_attenuation(0.0).transmissivity
+    b_peak = _boundary(lambda b: _qd_skr_rising(QdSourceParams(b, g2), eta, det), 0.0, 1.0)
+
+    def qd_loses(b: float) -> bool:
+        return qd_only_skr(QdSourceParams(b, g2), 0.0, channel, det) <= laser_best
+
+    if b_peak < 1.0 and qd_loses(b_peak):  # at b_peak = 1 the bisection answers 1 itself
+        return 1.0
+    return _boundary(qd_loses, 0.0, b_peak)
 
 
 def skr_scan(

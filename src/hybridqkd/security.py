@@ -19,7 +19,9 @@ from .channel import ChannelModel, DetectorModel, totals
 from .errors import DomainError
 from .photon_stats import (
     PhotonNumberDistribution,
+    QdSourceParams,
     multiphoton_probability,
+    qd_distribution,
     single_photon_probability,
 )
 
@@ -85,22 +87,51 @@ def _skr_rising(dist: PhotonNumberDistribution, eta: float, det: DetectorModel) 
     The arrival probability A has dA/dmu = eta (1 - A), so Q_tot has slope
     eta (1 - Q_tot). Convolution with Poisson(mu) gives dp_k/dmu =
     p_(k-1) - p_k, so the multiphoton probability has the telescoped slope
-    dp_m/dmu = p1, the single-photon probability. Where the bound is clamped
-    or not positive, the key is nearer when the single-photon error rate
-    e_low falls; elsewhere the predicate is the sign of dSKR/dmu.
+    dp_m/dmu = p1, the single-photon probability.
     """
     try:
         q_tot, e_tot = totals(dist, eta, det)
     except DomainError:  # no clicks yet: laser light brings the first
         return True
     p_m = multiphoton_probability(dist)
+    return _bound_rising(q_tot, e_tot, p_m, eta * (1.0 - q_tot), single_photon_probability(dist), det)
+
+
+def _qd_skr_rising(qd: QdSourceParams, eta: float, det: DetectorModel) -> bool:
+    """Whether the clamped SKR of the bare quantum dot still rises with its
+    collected brightness b.
+
+    With p1 + p2 = b, the arrival probability is A = b eta + p2 eta (1 - eta),
+    and the root p2 of (b + p2)^2 g2 = 2 p2 has dp2/db = 1/s - 1 with
+    s = sqrt(1 - 2 g2 b), written as 2 g2 b / (s (1 + s)) so it does not cancel.
+    """
+    dist = qd_distribution(qd)
+    try:
+        q_tot, e_tot = totals(dist, eta, det)
+    except DomainError:  # no clicks yet: a brighter dot brings the first
+        return True
+    g2_b = qd.g2 * qd.brightness
+    s = math.sqrt(1.0 - 2.0 * g2_b)
+    d_p2 = 2.0 * g2_b / (s * (1.0 + s))
+    d_q_tot = (1.0 - det.y0) * eta * (1.0 + (1.0 - eta) * d_p2)
+    return _bound_rising(q_tot, e_tot, multiphoton_probability(dist), d_q_tot, d_p2, det)
+
+
+def _bound_rising(
+    q_tot: float, e_tot: float, p_m: float, d_q_tot: float, d_p_m: float, det: DetectorModel
+) -> bool:
+    """Whether the clamped SKR rises along a change of the source that moves
+    Q_tot by d_q_tot and p_m by d_p_m. Errors E_tot Q_tot = e0 y0 + e_d A move
+    with A alone. Where the bound is clamped or not positive, the key is nearer
+    when the single-photon error rate e_low falls; elsewhere the predicate is
+    the sign of the SKR's slope.
+    """
     q_low = q_tot - p_m
     if q_low <= 0.0:
         return False
     skr, _, clamped = _bound_terms(q_tot, e_tot, p_m, det.f_ec)
-    d_q_tot = eta * (1.0 - q_tot)
-    d_errors = det.e_d * d_q_tot / (1.0 - det.y0)  # of E_tot Q_tot = e0 y0 + e_d A
-    d_q_low = d_q_tot - single_photon_probability(dist)  # dp_m/dmu = p1
+    d_errors = det.e_d * d_q_tot / (1.0 - det.y0)
+    d_q_low = d_q_tot - d_p_m
     e_low = e_tot * q_tot / q_low
     d_e_low = (d_errors - e_low * d_q_low) / q_low
     if clamped or skr <= 0.0:

@@ -6,8 +6,9 @@ ties toward mu = 0; its result must match a dense grid of admixtures. The
 searches bisect predicates that must be monotone: "mixing helps" must fail
 beyond the crossover attenuation, and beyond the unconditional brightness;
 the bare-dot SKR that the laser-beat search compares against the best laser
-must not fall as the brightness rises, which holds for sources as built but
-not everywhere. The unconditional search asks "mixing helps" at 0 dB only,
+must be unimodal in brightness, since the search bisects below its peak; it
+does not fall as the brightness rises for sources as built, but not
+everywhere. The unconditional search asks "mixing helps" at 0 dB only,
 which is exact when mixing that helps at some loss also helps at less.
 Where the bare dot has a key, "mixing helps" reads only the slope at mu = 0,
 so it must agree with the optimizer's own answer.
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from hybridqkd import ChannelModel, DetectorModel, QdSourceParams, optimize
 from hybridqkd.optimize import (
+    _boundary,
     _clamped_skr,
     _mixes,
     crossover_attenuation,
@@ -30,7 +32,7 @@ from hybridqkd.optimize import (
     unconditional_advantage_brightness,
 )
 from hybridqkd.photon_stats import MU_MAX, hybrid_distribution, qd_distribution
-from hybridqkd.security import SkrReport
+from hybridqkd.security import SkrReport, _qd_skr_rising
 
 brightnesses = st.floats(0.0, 1.0)
 # qd_distribution computes p2 ~ g2 b^2 / 2 with an absolute rounding error
@@ -105,8 +107,25 @@ def test_qd_only_skr_can_peak_below_full_brightness(g2, e_d, eta0):
     assert skr[1] < skr[0]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g2s, setups, attenuations)
+def test_qd_only_skr_is_unimodal_in_brightness(g2, setup, db):
+    # It rises to its largest value on a grid and falls beyond it, and the
+    # root of its slope in brightness is where it peaks.
+    ch, det = setup
+    grid = np.linspace(0.0, 1.0, 201)
+    skr = np.array([qd_only_skr(QdSourceParams(b, g2), db, ch, det) for b in grid])
+    top = int(np.argmax(skr))
+    slack = 1e-12 * skr[top] + P2_NOISE
+    assert np.all(np.diff(skr[: top + 1]) >= -slack)
+    assert np.all(np.diff(skr[top:]) <= slack)
+    eta = ch.with_attenuation(db).transmissivity
+    b_peak = _boundary(lambda b: _qd_skr_rising(QdSourceParams(b, g2), eta, det), 0.0, 1.0)
+    assert qd_only_skr(QdSourceParams(b_peak, g2), db, ch, det) >= skr[top] - slack
+
+
 # Here the bare dot with g2 = 0.1 beats the best laser from brightness
-# about 0.03 to 0.76, but not at 1.
+# about 0.02 to 0.76, but not at 1.
 WINDOW = (ChannelModel(eta0=0.1), DetectorModel(e_d=0.05, y0=1e-5))
 
 
@@ -117,10 +136,20 @@ def test_laser_beat_predicate_can_turn_back():
     assert wins == [False, True, False]
 
 
-@pytest.mark.xfail(strict=True, reason="the search tests brightness 1 first and reports 1")
 def test_laser_beat_brightness_finds_a_window_of_wins():
     ch, det = WINDOW
-    assert laser_beat_brightness(0.1, det, ch) <= 0.5
+    beat = laser_beat_brightness(0.1, det, ch)
+    assert beat <= 0.5
+    laser = optimize_mu_laser(QdSourceParams(0.0, 0.0), 0.0, ch, det).skr_opt
+    below = math.nextafter(beat, 0.0)
+    assert qd_only_skr(QdSourceParams(below, 0.1), 0.0, ch, det) <= laser
+    assert qd_only_skr(QdSourceParams(beat, 0.1), 0.0, ch, det) > laser
+
+
+def test_laser_beat_brightness_is_one_without_a_key():
+    # e_d = 0.2 leaves no key for either source; the bare-dot SKR peaks far
+    # below brightness 1, and the search must not report that peak
+    assert laser_beat_brightness(0.1, DetectorModel(e_d=0.2, y0=1e-5), ChannelModel()) == 1.0
 
 
 # Admixtures from 1e-9 up: the optimum can lie far below the 1e-4 that
