@@ -30,8 +30,8 @@ click draws are taken in chunks of ``CHUNK``. A Generator fills an array one
 element after another and Philox keeps its buffered outputs in its state
 between calls, so n draws taken in chunks are the n draws of one call, and
 the chunk size does not change the stream. A block keeps only the emitting
-positions (int64), k - 1 (uint8 for every Fock vector shorter than 256) and
-an arrival mask: about 10 bytes per emitting pulse, plus one chunk of draws.
+positions (int64), k - 1 (uint8 while k stays below 256) and an arrival
+mask: about 10 bytes per emitting pulse, plus one chunk of draws.
 """
 from __future__ import annotations
 
@@ -191,8 +191,8 @@ def _block_counts(rng: np.random.Generator, config: SimConfig, size: int) -> tup
             joined = np.zeros(hit.size, dtype=bool)
             joined[both[lo:hi] - start] = True
             w_both = w[joined[hit]]
-            extra = (w_both >= 0.5 * det.e_d) & (w_both < 0.5 * (det.e_d + det.e0))
-            errors += int(np.count_nonzero(extra))
+            band = (w_both >= 0.5 * det.e_d) & (w_both < 0.5 * (det.e_d + det.e0))
+            errors += int(np.count_nonzero(band))
     for start in range(0, n_alone, CHUNK):
         w = rng.random(out=buf[: n_alone - start])
         sifted += int(np.count_nonzero(w < 0.5))

@@ -8,7 +8,8 @@ e_{k<2} = E_tot Q_tot / Q_{k<2}. The bound is
     SKR >= 1/2 ( Q_{k<2} (1 - H2(e_{k<2})) - f_EC Q_tot H2(E_tot) )
 
 with the 1/2 accounting for basis sifting. Each term is a closed form in the
-laser mean photon number, and so is the slope that the optimizer bisects on.
+laser mean photon number and in the dot's brightness, and so are the slopes
+that the optimizer and the laser-beat search bisect on.
 """
 from __future__ import annotations
 
@@ -93,8 +94,9 @@ def _skr_rising(dist: PhotonNumberDistribution, eta: float, det: DetectorModel) 
         q_tot, e_tot = totals(dist, eta, det)
     except DomainError:  # no clicks yet: laser light brings the first
         return True
-    p_m = multiphoton_probability(dist)
-    return _bound_rising(q_tot, e_tot, p_m, eta * (1.0 - q_tot), single_photon_probability(dist), det)
+    d_q_tot = eta * (1.0 - q_tot)
+    p_m, p1 = multiphoton_probability(dist), single_photon_probability(dist)
+    return _bound_rising(q_tot, e_tot, p_m, d_q_tot, p1, det)
 
 
 def _qd_skr_rising(qd: QdSourceParams, eta: float, det: DetectorModel) -> bool:
