@@ -140,8 +140,8 @@ class TestSimulate:
             SimConfig(100, 1, dist, 1.5, TABLE1_DET)
 
 
-# (clicks, sifted, errors) of one block, recorded from the sampler as first
-# written: any change to the draws, their order or the tallies shows here.
+# (clicks, sifted, errors) of one block for a fixed seed: any change to the
+# draws, their order or the tallies shows here.
 RECORDED_BLOCKS = {
     "opaque channel": (0.269, 0.0, DetectorModel(e_d=0.05, y0=1e-3), BLOCK_SIZE, 1,
                        (1072, 548, 259)),
