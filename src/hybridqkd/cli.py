@@ -30,7 +30,7 @@ from .optimize import (
     unconditional_advantage_brightness,
 )
 from .photon_stats import QdSourceParams, hybrid_distribution, mean_photon_number, qd_distribution
-from .security import gllp_skr
+from .security import gllp_skr_or_no_key
 
 SCAN_COLUMNS = [
     "db", "km", "mu_laser", "mu_mixed", "ratio", "g2_hybrid",
@@ -171,7 +171,7 @@ def montecarlo_rows(cfg: RunConfig) -> list[tuple]:
         ch = cfg.channel.with_attenuation(db)
         for mu in cfg.mu_list:
             dist = hybrid_distribution(qd_dist, mu)
-            analytic = gllp_skr(dist, ch, cfg.detector)
+            analytic = gllp_skr_or_no_key(dist, ch, cfg.detector)
             tally = simulate(
                 SimConfig(cfg.n_pulses, cfg.seed + cell, dist, ch.transmissivity, cfg.detector)
             )
@@ -230,13 +230,9 @@ def figure_tables(cfg: RunConfig) -> list[tuple[str, list[str], list[tuple]]]:
     for brightness in SUPP_BRIGHTNESS:
         dist = qd_distribution(QdSourceParams(brightness, SUPP_SWEEP_G2))
         for db in cfg.db_grid:
-            try:
-                report = gllp_skr(dist, cfg.channel.with_attenuation(db), cfg.detector)
-                skr, clamped = report.skr_per_pulse, report.clamped
-            except DomainError:
-                skr, clamped = 0.0, True
+            report = gllp_skr_or_no_key(dist, cfg.channel.with_attenuation(db), cfg.detector)
             km = db_to_km(db, cfg.channel.fiber_alpha)
-            brightness_rows.append((brightness, db, km, skr, clamped))
+            brightness_rows.append((brightness, db, km, report.skr_per_pulse, report.clamped))
 
     # Optimal laser mean photon number for several brightnesses (0 = laser
     # only), without the ratio column.

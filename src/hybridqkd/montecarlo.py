@@ -23,19 +23,23 @@ P(error | sifted) = err_p, the joint law of two independent coins.
 Pulses are processed in blocks of 2^20, each with its own counter-based
 substream (Philox keyed through SeedSequence spawn keys), so tallies are
 bit-identical for a fixed seed regardless of how blocks are executed.
+``simulate`` runs the blocks on one thread per CPU the process may run on,
+never more threads than blocks, and sums their counts in block order.
 Within a block the draws come in a fixed order: the emission gaps, one
 uniform per emission for k, one Geometric(eta) per emission, the dark-count
-gaps, and one uniform per click, photon clicks first. The k, arrival and
-click draws are taken in chunks of ``CHUNK``. A Generator fills an array one
-element after another and Philox keeps its buffered outputs in its state
-between calls, so n draws taken in chunks are the n draws of one call, and
-the chunk size does not change the stream. A block keeps only the emitting
-positions (int64), k - 1 (uint8 while k stays below 256) and an arrival
-mask: about 10 bytes per emitting pulse, plus one chunk of draws.
+gaps, and one uniform per click, photon clicks first. Every draw is taken in
+chunks of ``CHUNK``. A Generator fills an array one element after another
+and Philox keeps its buffered outputs in its state between calls, so n draws
+taken in chunks are the n draws of one call, and the chunk size does not
+change the stream. A block keeps only the emitting positions (int32), k - 1
+(uint8 while k stays below 256) and an arrival mask: about 6 bytes per
+emitting pulse, plus one chunk of draws.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +52,11 @@ from .security import _bound_terms
 BLOCK_SIZE = 1 << 20
 # Draws per call within a block: the size of the per-chunk temporaries.
 CHUNK = 1 << 15
-# Largest accepted n_pulses. One core simulates about 150 Mpulses/s over
+# Largest accepted n_pulses. One thread simulates about 140 Mpulses/s over
 # the benchmark's montecarlo-cells (0 to 20 dB) and 70 Mpulses/s at 0 dB and
-# mu = 0.269, where a quarter of the pulses emit (Xeon, numpy 2.4), so this is
-# two to four hours of simulation; anything larger is a typo, not a run.
+# mu = 0.269, where a quarter of the pulses emit; two threads reach about 205
+# and 85 Mpulses/s (2-vCPU Xeon, numpy 2.4). So this is one and a half to four
+# hours of simulation; anything larger is a typo, not a run.
 MAX_PULSES = 10**12
 
 
@@ -98,23 +103,31 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.nd
 
     The gaps between successive successes are i.i.d. Geometric(p), so summing
     gaps until they pass the end of the block samples the same law as one coin
-    per trial, with work proportional to the number of successes.
+    per trial, with work proportional to the number of successes. Each round
+    draws its ``count`` gaps in chunks of ``CHUNK``, summed in int64 (a gap can
+    exceed 2^31 when p is tiny), and keeps only the indices inside the block,
+    as int32: a block has fewer than 2^31 pulses.
     """
     if p <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     p = min(p, 1.0)  # rounding in a CDF tail can put p just above 1
-    chunks = []
+    rounds = []
     last = -1  # index of the latest success drawn so far
     while last < size - 1:
         mean = (size - 1 - last) * p
         count = int(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 1.0)
-        positions = rng.geometric(p, count)
-        np.cumsum(positions, out=positions)
-        positions += last
-        chunks.append(positions)
-        last = int(positions[-1])
-    positions = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return positions[: np.searchsorted(positions, size)]
+        kept = np.empty(min(count, size - 1 - last), dtype=np.int32)
+        n_kept = 0
+        for start in range(0, count, CHUNK):
+            positions = rng.geometric(p, min(CHUNK, count - start))
+            np.cumsum(positions, out=positions)
+            positions += last
+            last = int(positions[-1])
+            inside = int(np.searchsorted(positions, size))
+            kept[n_kept : n_kept + inside] = positions[:inside]
+            n_kept += inside
+        rounds.append(kept[:n_kept])
+    return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
 
 
 def _photon_hits(
@@ -201,12 +214,54 @@ def _block_counts(rng: np.random.Generator, config: SimConfig, size: int) -> tup
 
 
 def simulate(config: SimConfig) -> SimTally:
-    """Run the pulse-level simulation and tally clicks, sifted events, errors."""
-    n_clicks = n_sifted = n_errors = 0
+    """Run the pulse-level simulation and tally clicks, sifted events, errors.
+
+    Blocks run on one thread per CPU that this process may run on, but on no
+    more threads than there are blocks: the calling thread and helpers, which
+    take blocks from one shared iterator while numpy releases the interpreter
+    lock to draw and count. Each block's counts are stored by block index and
+    summed in block order, so the tally does not depend on the thread count.
+    The first exception of any thread stops the others after their current
+    block and is raised here once every helper has ended.
+    """
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for block in range(n_blocks):
-        size = min(BLOCK_SIZE, config.n_pulses - block * BLOCK_SIZE)
-        clicks, sifted, errors = _block_counts(_block_rng(config.seed, block), config, size)
+    config.dist.probs  # build the cached Fock vector once, before the threads read it
+    counts = [None] * n_blocks
+    blocks = iter(range(n_blocks))
+    take = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def work():
+        while not stop.is_set():
+            with take:
+                block = next(blocks, None)
+            if block is None:
+                return
+            size = min(BLOCK_SIZE, config.n_pulses - block * BLOCK_SIZE)
+            counts[block] = _block_counts(_block_rng(config.seed, block), config, size)
+
+    def helper():
+        try:
+            work()
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failures.append(exc)
+            stop.set()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helpers = [threading.Thread(target=helper) for _ in range(min(cpus, n_blocks) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
+    n_clicks = n_sifted = n_errors = 0
+    for clicks, sifted, errors in counts:
         n_clicks += clicks
         n_sifted += sifted
         n_errors += errors

@@ -21,7 +21,7 @@ from .photon_stats import (
     mean_photon_number,
     qd_distribution,
 )
-from .security import SkrReport, _qd_skr_rising, _skr_rising, gllp_skr
+from .security import SkrReport, _qd_skr_rising, _skr_rising, gllp_skr, gllp_skr_or_no_key
 
 DB_MAX = 60.0
 
@@ -209,7 +209,7 @@ def skr_scan(
         km = db_to_km(db, channel.fiber_alpha)
         for mu in mu_laser_list:
             mixed = hybrid_distribution(base, mu)
-            report = gllp_skr(mixed, ch, det)
+            report = gllp_skr_or_no_key(mixed, ch, det)
             mu_mixed = mu_qd + mu
             ratio = mu / mu_mixed if mu_mixed > 0.0 else 0.0
             g2_mixed = g2_of(mixed) if mu_mixed > 0.0 else 0.0

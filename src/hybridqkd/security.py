@@ -157,6 +157,18 @@ def gllp_skr(
     return SkrReport(q_tot, e_tot, p_m, a_fraction, skr, per_second, clamped)
 
 
+def gllp_skr_or_no_key(
+    dist: PhotonNumberDistribution, channel: ChannelModel, det: DetectorModel
+) -> SkrReport:
+    """``gllp_skr``, except that a cell with zero total gain (no photon can
+    arrive and no dark count fires) is a clamped report of no key, with
+    Q_tot = E_tot = A = SKR = 0, instead of an error."""
+    try:
+        return gllp_skr(dist, channel, det)
+    except DomainError:  # zero total gain: nothing to distill
+        return SkrReport(0.0, 0.0, multiphoton_probability(dist), 0.0, 0.0, 0.0, True)
+
+
 def skr_from_observables(
     p_click: float,
     error_rate: float,

@@ -86,14 +86,26 @@ class TestScan:
         profile.write_text(text)
         assert main(["scan", "-c", str(profile)]) == 2
 
-    def test_engine_domain_error_exits_3(self):
-        code = main(
-            [
-                "scan", "-c", TINY,
-                "--source.brightness=0", "--source.g2=0", "--detector.y0=0",
-            ]
-        )
-        assert code == 3
+    def test_engine_domain_error_exits_3(self, monkeypatch, capsys):
+        from hybridqkd import DomainError, cli
+
+        def reject(*args):
+            raise DomainError("engine rejects the cell")
+
+        monkeypatch.setattr(cli, "skr_scan", reject)
+        assert main(["scan", "-c", TINY]) == 3
+        assert capsys.readouterr().err == "error: engine rejects the cell\n"
+
+    def test_zero_gain_cell_has_no_key(self, capsys):
+        # a dark dot with no dark counts: the mu = 0 cell never clicks
+        argv = ["scan", "-c", "ideal", "--source.brightness=0", "--laser.mu=0,0.1",
+                "--channel.db=0"]
+        assert main(argv) == 0
+        header, dark, lit = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), dark.split(",")))
+        assert [cells[c] for c in ("q_tot", "e_tot", "a_fraction", "skr_per_pulse", "clamped")] \
+            == ["0", "0", "0", "0", "true"]
+        assert float(dict(zip(header.split(","), lit.split(",")))["skr_per_pulse"]) > 0.0
 
 
 class TestConfigHandling:
@@ -345,11 +357,11 @@ class TestMonteCarloCommand:
         # About 9 errors expected. One recorded error has a plug-in standard error
         # near 1/n_sifted, which puts the cell 8 sigma out; under the analytic
         # E it is 2.7 sigma out. 40 errors fail either way.
-        from hybridqkd import SimTally, cli
+        from hybridqkd import SimTally, cli, gllp_skr
 
         cfg = cli.load_config(TINY, {("channel", "db"): "0", ("laser", "mu"): "0"})
         dist = cli.qd_distribution(cfg.source)
-        analytic = cli.gllp_skr(dist, cfg.channel.with_attenuation(0.0), cfg.detector)
+        analytic = gllp_skr(dist, cfg.channel.with_attenuation(0.0), cfg.detector)
         n = round(18.0 / (analytic.q_tot * analytic.e_tot))
         n_clicks = round(analytic.q_tot * n)
         n_sifted = n_clicks // 2
@@ -361,6 +373,18 @@ class TestMonteCarloCommand:
         monkeypatch.setattr(cli, "simulate", lambda config: tally)
         assert main(["montecarlo", "-c", TINY, "--channel.db=0", "--laser.mu=0"]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith("," + expected)
+
+    def test_opaque_channel_cell_has_no_key(self, capsys):
+        # 1e6 dB underflows the transmissivity to 0 and the ideal detector has
+        # no dark counts, so neither the model nor the simulation ever clicks
+        argv = ["montecarlo", "-c", "ideal", "--laser.mu=0.1", "--channel.db=1e6",
+                "--run.n_pulses=1000"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["q_tot_analytic"] == cells["q_tot_hat"] == "0"
+        assert cells["skr_analytic"] == cells["skr_empirical"] == "0"
+        assert cells["pass"] == "true"
 
     def test_zero_pulses_rejected(self):
         assert main(["montecarlo", "-c", TINY, "--run.n_pulses=0"]) == 2
@@ -470,6 +494,14 @@ class TestFiguresCommand:
         ]
         assert main(argv) == 0
         assert len(list(figdir.iterdir())) == 6
+
+    def test_opaque_channel_writes_no_key_rows(self, tmp_path):
+        figdir = tmp_path / "figs"
+        assert main(["figures", "-c", "ideal", "--channel.db=1e6", "--outdir", str(figdir)]) == 0
+        rows = (figdir / "supp_brightness_sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",0,true") for row in rows)
+        fig2 = (figdir / "fig2_skr_vs_attenuation.csv").read_text().splitlines()[1:]
+        assert fig2 and all(row.endswith(",0,0,true") for row in fig2)
 
     def test_fig2_zero_ratio_matches_scan(self, tmp_path, capsys):
         figdir = tmp_path / "figs"

@@ -1,5 +1,12 @@
+import _thread
 import math
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,12 +27,15 @@ from hybridqkd import (
     qd_distribution,
     simulate,
 )
+from hybridqkd import montecarlo
 from hybridqkd.channel import totals
 from hybridqkd.config import load_config
 from hybridqkd.montecarlo import (
     BLOCK_SIZE, MAX_PULSES, _bernoulli_positions, _block_counts, _block_rng, _photon_hits,
 )
+from hybridqkd.photon_stats import MU_MAX
 
+SRC = Path(__file__).parent.parent / "src"
 TABLE1_DET = DetectorModel(e_d=0.008, y0=196 / 81.96e6)
 
 
@@ -160,11 +170,13 @@ def test_block_counts_keep_the_recorded_stream(case):
     assert _block_counts(_block_rng(20260810, block), config, size) == expected
 
 
-def test_one_block_peaks_below_four_megabytes():
-    # table1 at 0 dB and mu = 0.269: about 283 k of the 2^20 pulses emit, and the
-    # block keeps about 10 bytes for each of them, plus one chunk of draws
-    cfg = load_config("table1", {("channel", "db"): "0", ("laser", "mu"): "0.269"})
-    dist = hybrid_distribution(qd_distribution(cfg.source), 0.269)
+@pytest.mark.parametrize("mu,bound", [(0.269, 3e6), (MU_MAX, 7e6)])
+def test_one_block_peak_memory(mu, bound):
+    # table1 at 0 dB: about 283 k of the 2^20 pulses emit at mu = 0.269 and
+    # nearly all at MU_MAX. The block keeps about 6 bytes for each of them
+    # (int32 position, k - 1, arrival flag), plus one chunk of draws.
+    cfg = load_config("table1", {("channel", "db"): "0", ("laser", "mu"): str(mu)})
+    dist = hybrid_distribution(qd_distribution(cfg.source), mu)
     config = SimConfig(BLOCK_SIZE, cfg.seed, dist, cfg.channel.transmissivity, cfg.detector)
     _block_counts(_block_rng(cfg.seed, 1), config, 1000)  # first-use allocations, Fock vector
     tracemalloc.start()
@@ -173,7 +185,145 @@ def test_one_block_peaks_below_four_megabytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+    assert peak <= bound
+
+
+def _cpus(monkeypatch, n):
+    """Make the process see n CPUs, so that simulate uses up to n threads."""
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestThreads:
+    def test_tally_independent_of_thread_count(self, monkeypatch):
+        n = 3 * BLOCK_SIZE + 777
+        config = SimConfig(n, 12, table1_hybrid(0.269), 0.5, DetectorModel(e_d=0.05, y0=1e-3))
+        # the serial reference: every block's counts, summed in block order
+        blocks = [
+            _block_counts(_block_rng(12, b), config, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+            for b in range(4)
+        ]
+        expected = [sum(column) for column in zip(*blocks)]
+        tallies = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            tallies.append(simulate(config))
+        assert tallies[0] == tallies[1]
+        assert [tallies[0].n_clicks, tallies[0].n_sifted, tallies[0].n_errors] == expected
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: a block taken
+        # twice or skipped changes the sums
+        _cpus(monkeypatch, 8)
+        ran = []
+
+        def fake_counts(block, config, size):
+            ran.append(block)
+            return block, size, 1
+
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: block)
+        monkeypatch.setattr(montecarlo, "_block_counts", fake_counts)
+        n_blocks = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tally = simulate(SimConfig(n_blocks * BLOCK_SIZE, 1, table1_hybrid(0.1), 0.5,
+                                       TABLE1_DET))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(n_blocks))
+        assert tally.n_clicks == n_blocks * (n_blocks - 1) // 2
+        assert tally.n_sifted == n_blocks * BLOCK_SIZE and tally.n_errors == n_blocks
+
+    @pytest.mark.parametrize("n_pulses,helpers", [(BLOCK_SIZE, 0), (BLOCK_SIZE + 1, 1)])
+    def test_helper_threads_only_for_a_second_block(self, n_pulses, helpers, monkeypatch):
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        monkeypatch.setattr(montecarlo.threading, "Thread", _CountingThread)
+        dist = PhotonNumberDistribution([0.0, 1.0, 0.0])
+        simulate(SimConfig(n_pulses, 1, dist, 1.0, DetectorModel(e_d=0.0, y0=0.0)))
+        assert _CountingThread.started == helpers
+
+    def test_failing_block_stops_the_run(self, monkeypatch):
+        # block 1 of 8 raises at once; the other thread is in a 0.2 s block by
+        # then, and takes no block after it
+        _cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        failure = ValueError("block 1 failed")
+        started = []
+
+        def fake_counts(block, config, size):
+            started.append(block)
+            if block == 1:
+                raise failure
+            time.sleep(0.2)
+            return 1, 1, 0
+
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: block)
+        monkeypatch.setattr(montecarlo, "_block_counts", fake_counts)
+        config = SimConfig(8 * BLOCK_SIZE, 1, table1_hybrid(0.1), 0.5, TABLE1_DET)
+        with pytest.raises(ValueError) as raised:
+            simulate(config)
+        assert raised.value is failure
+        assert sorted(started) == [0, 1]
+        assert threading.active_count() == baseline
+
+    def test_interrupt_ends_every_thread(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        start = time.monotonic()
+        deadline = start + 20.0
+
+        def fake_counts(block, config, size):
+            if time.monotonic() > deadline:  # the interrupt was lost: end the run anyway
+                raise RuntimeError("simulate ran on after the interrupt")
+            time.sleep(0.001)
+            return 0, 0, 0
+
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: block)
+        monkeypatch.setattr(montecarlo, "_block_counts", fake_counts)
+        timer = threading.Timer(0.2, _thread.interrupt_main)
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                simulate(SimConfig(MAX_PULSES, 1, table1_hybrid(0.1), 0.5, TABLE1_DET))
+        finally:
+            timer.cancel()
+            timer.join(timeout=10.0)
+        assert time.monotonic() - start < 10.0  # the threads stopped within a block
+        assert not timer.is_alive()
+        assert threading.active_count() == baseline
+
+    def test_ctrl_c_ends_a_huge_run(self):
+        # a fresh interpreter simulating 10^12 pulses; SIGINT must end it, and
+        # no thread may keep the interpreter alive afterwards
+        code = (
+            "import sys; from hybridqkd.cli import main; print('go', flush=True); "
+            "sys.exit(main(['montecarlo', '-c', 'table1', '--channel.db=0', "
+            "'--laser.mu=0.269', '--run.n_pulses=1e12']))"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(SRC)},
+        )
+        try:
+            assert proc.stdout.readline() == b"go\n"
+            time.sleep(1.0)  # well inside the simulation
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode != 0
+        assert b"KeyboardInterrupt" in stderr
 
 
 class TestOracleAgreement:
